@@ -1,12 +1,10 @@
-//! Shared helpers for the benchmark harness.
+//! Paper-artifact binaries and the helpers they share.
 //!
 //! The `fig*`, `res*` and `abl*` binaries in `src/bin/` regenerate every
-//! figure and result of the paper (see `DESIGN.md` for the index); the
-//! plain `harness = false` benches in `benches/` (built on [`harness`])
-//! measure the scaling behaviour of each engine stage.
-
-pub mod harness;
-pub mod json;
+//! figure and result of the paper; each binary names its figure or result.
+//! Performance is measured by the separate `perfbench` package at the
+//! repository root, which also builds on [`paper_board`] and
+//! [`greedy_mixed_mapping`].
 
 use cool_cost::CostModel;
 use cool_ir::{Mapping, PartitioningGraph, Resource, Target};

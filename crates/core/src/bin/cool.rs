@@ -109,6 +109,7 @@ fn run(args: Vec<String>) -> Result<(), Box<dyn Error>> {
         return Err(usage().into());
     };
     let rest = &args[1..];
+    reject_unknown_flags(rest)?;
     match command.as_str() {
         "check" => {
             let spec = read_spec(rest)?;
@@ -333,7 +334,6 @@ const VALUE_FLAGS: &[&str] = &[
     "--objective",
     "--budgets",
     "--milp-max-nodes",
-    "--milp-comm-weight",
     "--milp-max-pivots",
     "--milp-pricing",
     "--poll-ms",
@@ -341,6 +341,22 @@ const VALUE_FLAGS: &[&str] = &[
     "--connect",
     "--addr",
 ];
+
+/// Every flag that takes no value.
+const SWITCH_FLAGS: &[&str] = &["--quick", "--trace", "--csv", "--cache", "--no-cache"];
+
+/// Fail on a `--flag` no subcommand reads: silently ignoring it would run
+/// a different flow than the one the caller asked for.
+fn reject_unknown_flags(rest: &[String]) -> Result<(), String> {
+    for (i, a) in rest.iter().enumerate() {
+        let is_value = i > 0 && VALUE_FLAGS.contains(&rest[i - 1].as_str());
+        let known = VALUE_FLAGS.contains(&a.as_str()) || SWITCH_FLAGS.contains(&a.as_str());
+        if a.starts_with("--") && !is_value && !known {
+            return Err(format!("unknown flag `{a}`\n{}", usage()));
+        }
+    }
+    Ok(())
+}
 
 /// The cache directory selected by `--cache-dir [DIR]`, if the flag is
 /// present (a missing or flag-like value selects the default directory).
@@ -1133,25 +1149,6 @@ fn parse_options(rest: &[String]) -> Result<FlowOptions, Box<dyn Error>> {
         // Flow-level override: survives `--pin` swapping the partitioner
         // for a fixed mapping (where it is simply inert).
         options.objective = Some(obj.parse::<Objective>()?);
-    }
-    if let Some(w) = flag_value(rest, "--milp-comm-weight") {
-        let weight: f64 = w
-            .parse()
-            .map_err(|_| format!("--milp-comm-weight expects a number, got `{w}`"))?;
-        // Deprecated alias: the old scalar knob maps onto the blended
-        // objective with the historical time/area weights left at their
-        // defaults. Keep stdout untouched (scripts grep flow output).
-        let objective = Objective::blend(1.0, weight, 0.05);
-        eprintln!("note: --milp-comm-weight is deprecated; use --objective blend:1,{weight},0.05");
-        match &mut options.partitioner {
-            Partitioner::Milp(o) => o.objective = objective,
-            Partitioner::Heuristic(o) => o.milp.objective = objective,
-            _ => {
-                return Err(
-                    "--milp-comm-weight applies to the milp/heuristic partitioners only".into(),
-                )
-            }
-        }
     }
     if let Some(n) = flag_value(rest, "--milp-max-pivots") {
         let max_pivots: usize = n

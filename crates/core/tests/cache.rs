@@ -2,6 +2,10 @@
 //! artifacts are byte-identical to cold runs at every job count, and
 //! that content keys are stable, collision-free and LRU-bounded.
 
+mod support;
+
+use support::run_flow;
+
 use cool_core::engine::{
     CodegenStage, CostStage, HlsStage, PartitionStage, RtlStage, ScheduleStage, SimPrepStage,
     SpecStage, StgStage,
@@ -27,30 +31,6 @@ fn generated_bytes(art: &FlowArtifacts) -> Vec<u8> {
         bytes.extend_from_slice(p.source.as_bytes());
     }
     bytes
-}
-
-fn run_flow(
-    g: &cool_ir::PartitioningGraph,
-    target: &Target,
-    options: &FlowOptions,
-) -> Result<FlowArtifacts, FlowError> {
-    FlowSession::new(g)
-        .target(target.clone())
-        .options(options.clone())
-        .run()
-}
-
-fn run_flow_cached(
-    g: &cool_ir::PartitioningGraph,
-    target: &Target,
-    options: &FlowOptions,
-    cache: &StageCache,
-) -> Result<FlowArtifacts, FlowError> {
-    FlowSession::new(g)
-        .target(target.clone())
-        .options(options.clone())
-        .cache(cache.clone())
-        .run()
 }
 
 /// The res2 shape in miniature: one spec across a family of FPGA area
@@ -92,15 +72,15 @@ fn warm_cache_flow_is_byte_identical_and_all_hits() {
     let target = Target::fuzzy_board();
     let options = FlowOptions::quick();
     let cache = StageCache::default();
-    let cold = run_flow_cached(&g, &target, &options, &cache).unwrap();
+    let cold = run_flow(&g, &target, &options, Some(&cache)).unwrap();
     assert_eq!(cold.trace.cache_hits(), 0);
     assert_eq!(cold.trace.cache_misses(), 9);
-    let warm = run_flow_cached(&g, &target, &options, &cache).unwrap();
+    let warm = run_flow(&g, &target, &options, Some(&cache)).unwrap();
     assert_eq!(warm.trace.cache_hits(), 9, "{}", warm.trace.to_table());
     assert_eq!(generated_bytes(&cold), generated_bytes(&warm));
     assert_eq!(cold.partition.mapping, warm.partition.mapping);
     // The plain uncached entry point agrees byte-for-byte too.
-    let uncached = run_flow(&g, &target, &options).unwrap();
+    let uncached = run_flow(&g, &target, &options, None).unwrap();
     assert_eq!(generated_bytes(&uncached), generated_bytes(&warm));
 }
 
@@ -197,8 +177,8 @@ fn tiny_lru_bound_evicts_but_stays_correct() {
     // Three slots for nine stages: the cache thrashes, correctness must
     // not depend on residency.
     let cache = StageCache::new(3);
-    let cold = run_flow_cached(&g, &target, &options, &cache).unwrap();
-    let second = run_flow_cached(&g, &target, &options, &cache).unwrap();
+    let cold = run_flow(&g, &target, &options, Some(&cache)).unwrap();
+    let second = run_flow(&g, &target, &options, Some(&cache)).unwrap();
     assert_eq!(generated_bytes(&cold), generated_bytes(&second));
     let stats = cache.stats();
     assert!(stats.evictions > 0, "{}", stats.summary());
@@ -469,8 +449,8 @@ fn option_changes_miss_only_downstream_stages() {
         ..FlowOptions::quick()
     };
     let cache = StageCache::default();
-    run_flow_cached(&g, &target, &mmio, &cache).unwrap();
-    let second = run_flow_cached(&g, &target, &direct, &cache).unwrap();
+    run_flow(&g, &target, &mmio, Some(&cache)).unwrap();
+    let second = run_flow(&g, &target, &direct, Some(&cache)).unwrap();
     let names: Vec<&str> = second
         .trace
         .records()

@@ -123,14 +123,25 @@ fn flow_jobs_flag_is_validated() {
         "design adder; input a : 16; input b : 16; node s = add; output y : 16;\n\
          connect a -> s.0; connect b -> s.1; connect s -> y;\n",
     );
-    let out = cool()
-        .arg("flow")
-        .arg(&spec)
-        .args(["--quick", "--jobs", "banana"])
-        .output()
-        .unwrap();
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("--jobs"));
+    // A flag no subcommand reads (here a removed one) fails too, rather
+    // than running a flow the caller did not ask for.
+    for (flag, value, needle) in [
+        ("--jobs", "banana", "--jobs"),
+        (
+            "--milp-comm-weight",
+            "0.1",
+            "unknown flag `--milp-comm-weight`",
+        ),
+    ] {
+        let out = cool()
+            .arg("flow")
+            .arg(&spec)
+            .args(["--quick", flag, value])
+            .output()
+            .unwrap();
+        assert!(!out.status.success(), "`{flag} {value}` was accepted");
+        assert!(String::from_utf8_lossy(&out.stderr).contains(needle));
+    }
 }
 
 #[test]
@@ -155,8 +166,8 @@ fn flow_warns_on_node_limit_truncated_milp() {
             "--quick",
             "--partitioner",
             "milp",
-            "--milp-comm-weight",
-            "0.1",
+            "--objective",
+            "blend:1,0.1,0.05",
             "--milp-max-nodes",
             "12",
             "--trace",
@@ -189,8 +200,8 @@ fn flow_warns_on_node_limit_truncated_milp() {
             "--quick",
             "--partitioner",
             "milp",
-            "--milp-comm-weight",
-            "0.1",
+            "--objective",
+            "blend:1,0.1,0.05",
             "--trace",
             "--out",
         ])

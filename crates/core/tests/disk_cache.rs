@@ -10,28 +10,19 @@
 //! valid; a partitioner change must invalidate everything from
 //! `partition` down while the spec/cost prefix survives).
 
+mod support;
+
+use support::run_flow;
+
 use std::fs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use cool_core::{CacheOutcome, FlowArtifacts, FlowOptions, FlowSession, Partitioner, StageCache};
+use cool_core::{CacheOutcome, FlowArtifacts, FlowOptions, Partitioner, StageCache};
 use cool_ir::hash::digest;
 use cool_ir::Target;
 use cool_partition::GaOptions;
 use cool_spec::workloads;
-
-fn run_flow_cached(
-    g: &cool_ir::PartitioningGraph,
-    target: &Target,
-    options: &FlowOptions,
-    cache: &StageCache,
-) -> Result<FlowArtifacts, cool_core::FlowError> {
-    FlowSession::new(g)
-        .target(target.clone())
-        .options(options.clone())
-        .cache(cache.clone())
-        .run()
-}
 
 static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
 
@@ -92,7 +83,7 @@ fn warm_start_from_disk_is_byte_identical_at_jobs_1_and_4() {
     let dir = temp_cache_dir("warm");
 
     let cold_cache = StageCache::persistent(64, &dir).unwrap();
-    let cold = run_flow_cached(&g, &target, &equalizer8_options(1), &cold_cache).unwrap();
+    let cold = run_flow(&g, &target, &equalizer8_options(1), Some(&cold_cache)).unwrap();
     assert_eq!(cold.trace.cache_hits(), 0);
     assert_eq!(cold.trace.cache_misses(), 9);
     assert_eq!(
@@ -105,7 +96,7 @@ fn warm_start_from_disk_is_byte_identical_at_jobs_1_and_4() {
         // A fresh `StageCache` has an empty memory tier, so every hit
         // below must come off disk — deserialization included.
         let warm_cache = StageCache::persistent(64, &dir).unwrap();
-        let warm = run_flow_cached(&g, &target, &equalizer8_options(jobs), &warm_cache).unwrap();
+        let warm = run_flow(&g, &target, &equalizer8_options(jobs), Some(&warm_cache)).unwrap();
         assert_eq!(
             warm.trace.disk_hits(),
             9,
@@ -138,7 +129,7 @@ fn corrupted_entries_degrade_to_miss_without_artifact_drift() {
     let dir = temp_cache_dir("corrupt");
 
     let cold_cache = StageCache::persistent(64, &dir).unwrap();
-    let cold = run_flow_cached(&g, &target, &options, &cold_cache).unwrap();
+    let cold = run_flow(&g, &target, &options, Some(&cold_cache)).unwrap();
     let all: Vec<PathBuf> = fs::read_dir(&dir)
         .unwrap()
         .flatten()
@@ -174,7 +165,7 @@ fn corrupted_entries_degrade_to_miss_without_artifact_drift() {
     fs::write(&entries[2], &bytes).unwrap();
 
     let warm_cache = StageCache::persistent(64, &dir).unwrap();
-    let warm = run_flow_cached(&g, &target, &options, &warm_cache).unwrap();
+    let warm = run_flow(&g, &target, &options, Some(&warm_cache)).unwrap();
     assert_eq!(
         artifact_fingerprint(&cold),
         artifact_fingerprint(&warm),
@@ -192,7 +183,7 @@ fn corrupted_entries_degrade_to_miss_without_artifact_drift() {
     // The recomputed stages were written back: the store is healthy
     // again, and a third fresh cache sees all nine entries.
     let heal_cache = StageCache::persistent(64, &dir).unwrap();
-    let healed = run_flow_cached(&g, &target, &options, &heal_cache).unwrap();
+    let healed = run_flow(&g, &target, &options, Some(&heal_cache)).unwrap();
     assert_eq!(healed.trace.disk_hits(), 9, "{}", healed.trace.to_table());
     let _ = fs::remove_dir_all(&dir);
 }
@@ -216,10 +207,10 @@ fn malformed_cache_dir_contents_never_panic() {
     // A junk file squatting on a real key: evicted as corrupt, entry
     // recomputed and rewritten over it.
     let cache = StageCache::persistent(64, &dir).unwrap();
-    let first = run_flow_cached(&g, &target, &options, &cache).unwrap();
+    let first = run_flow(&g, &target, &options, Some(&cache)).unwrap();
     assert_eq!(first.trace.cache_misses(), 9);
     let fresh = StageCache::persistent(64, &dir).unwrap();
-    let warm = run_flow_cached(&g, &target, &options, &fresh).unwrap();
+    let warm = run_flow(&g, &target, &options, Some(&fresh)).unwrap();
     assert_eq!(warm.trace.disk_hits(), 9, "{}", warm.trace.to_table());
     assert_eq!(artifact_fingerprint(&first), artifact_fingerprint(&warm));
     assert!(dir.join("README.txt").exists(), "non-entries untouched");
@@ -261,8 +252,8 @@ fn hls_only_option_change_preserves_stg_and_upstream() {
     let mut hls_changed = FlowOptions::quick();
     hls_changed.hls.bits = 8; // narrower datapath: different designs
     let cache = StageCache::default();
-    run_flow_cached(&g, &target, &base, &cache).unwrap();
-    let second = run_flow_cached(&g, &target, &hls_changed, &cache).unwrap();
+    run_flow(&g, &target, &base, Some(&cache)).unwrap();
+    let second = run_flow(&g, &target, &hls_changed, Some(&cache)).unwrap();
     assert_eq!(
         outcomes(&second),
         vec![
@@ -303,8 +294,8 @@ fn partitioner_option_change_reruns_partition_only_while_content_holds() {
         ..GaOptions::default()
     });
     let cache = StageCache::default();
-    let first = run_flow_cached(&g, &target, &base, &cache).unwrap();
-    let second = run_flow_cached(&g, &target, &ga_changed, &cache).unwrap();
+    let first = run_flow(&g, &target, &base, Some(&cache)).unwrap();
+    let second = run_flow(&g, &target, &ga_changed, Some(&cache)).unwrap();
     assert_eq!(
         first.partition.mapping, second.partition.mapping,
         "elitism keeps the champion across the extra generations \
@@ -345,9 +336,9 @@ fn dag_invalidation_holds_across_processes() {
     hls_changed.hls.bits = 8;
     let dir = temp_cache_dir("dag");
     let cache = StageCache::persistent(64, &dir).unwrap();
-    run_flow_cached(&g, &target, &base, &cache).unwrap();
+    run_flow(&g, &target, &base, Some(&cache)).unwrap();
     let fresh = StageCache::persistent(64, &dir).unwrap();
-    let second = run_flow_cached(&g, &target, &hls_changed, &fresh).unwrap();
+    let second = run_flow(&g, &target, &hls_changed, Some(&fresh)).unwrap();
     assert_eq!(
         second.trace.disk_hits(),
         6,

@@ -1,21 +1,14 @@
 //! Engine-level integration tests: stage ordering, timing-table
 //! invariants, and the determinism of the parallel stages.
 
-use cool_core::{Engine, FlowArtifacts, FlowContext, FlowOptions, FlowSession, Partitioner};
+mod support;
+
+use support::run_flow;
+
+use cool_core::{Engine, FlowArtifacts, FlowContext, FlowOptions, Partitioner};
 use cool_cost::CostModel;
 use cool_ir::{Mapping, Resource, Target};
 use cool_spec::workloads;
-
-fn run_flow(
-    g: &cool_ir::PartitioningGraph,
-    target: &Target,
-    options: &FlowOptions,
-) -> Result<FlowArtifacts, cool_core::FlowError> {
-    FlowSession::new(g)
-        .target(target.clone())
-        .options(options.clone())
-        .run()
-}
 
 /// Greedily move the most hardware-profitable nodes onto the FPGAs until
 /// the CLB budgets are exhausted (a deterministic mixed partition).
@@ -80,7 +73,7 @@ fn standard_stage_order_is_the_paper_flow() {
 fn trace_records_every_stage_once_in_order() {
     let g = workloads::equalizer(2);
     let target = Target::fuzzy_board();
-    let art = run_flow(&g, &target, &FlowOptions::quick()).unwrap();
+    let art = run_flow(&g, &target, &FlowOptions::quick(), None).unwrap();
     assert_eq!(art.trace.stage_names(), Engine::standard().stage_names());
     // The six-bucket summary is exactly the trace re-bucketed.
     assert_eq!(art.timings.total(), art.trace.total());
@@ -116,7 +109,7 @@ fn hardware_fraction_dominates_equalizer8_serial() {
         jobs: 1,
         ..FlowOptions::default()
     };
-    let art = run_flow(&g, &target, &options).unwrap();
+    let art = run_flow(&g, &target, &options, None).unwrap();
     assert!(
         art.partition.hardware_nodes(&g) >= 4,
         "mixed mapping expected, got {} hw nodes",
@@ -165,10 +158,10 @@ fn jobs_one_and_many_emit_byte_identical_artifacts() {
         placement_effort: 32,
         ..FlowOptions::quick()
     };
-    let serial = run_flow(&g, &target, &base.clone().with_jobs(1)).unwrap();
+    let serial = run_flow(&g, &target, &base.clone().with_jobs(1), None).unwrap();
     assert!(serial.hls_designs.len() >= 4, "want real HLS fan-out");
     for jobs in [2usize, 4, 8, 0] {
-        let par = run_flow(&g, &target, &base.clone().with_jobs(jobs)).unwrap();
+        let par = run_flow(&g, &target, &base.clone().with_jobs(jobs), None).unwrap();
         assert_eq!(
             generated_bytes(&serial),
             generated_bytes(&par),
@@ -198,7 +191,7 @@ fn jobs_one_and_many_emit_byte_identical_artifacts() {
 fn parallel_flow_simulates_correctly() {
     let g = workloads::fuzzy_controller();
     let target = Target::fuzzy_board();
-    let art = run_flow(&g, &target, &FlowOptions::quick().with_jobs(4)).unwrap();
+    let art = run_flow(&g, &target, &FlowOptions::quick().with_jobs(4), None).unwrap();
     let ins = cool_ir::eval::input_map([("err", 42), ("derr", -17)]);
     let r = art.simulate(&ins).unwrap();
     assert_eq!(r.outputs, cool_ir::eval::evaluate(&g, &ins).unwrap());

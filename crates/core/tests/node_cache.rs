@@ -10,11 +10,15 @@
 //! every job count, and the reuse works across "processes" (fresh cache
 //! instances over one cache directory, served from disk).
 
+mod support;
+
+use support::run_flow;
+
 use std::fs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use cool_core::{FlowArtifacts, FlowOptions, FlowSession, Partitioner, StageCache};
+use cool_core::{FlowArtifacts, FlowOptions, Partitioner, StageCache};
 use cool_ir::hash::digest;
 use cool_ir::Target;
 use cool_spec::workloads;
@@ -39,21 +43,6 @@ fn all_hw_options(g: &cool_ir::PartitioningGraph, jobs: usize) -> FlowOptions {
         ..FlowOptions::quick()
     }
     .with_jobs(jobs)
-}
-
-fn run_flow(
-    g: &cool_ir::PartitioningGraph,
-    target: &Target,
-    options: &FlowOptions,
-    cache: Option<&StageCache>,
-) -> FlowArtifacts {
-    let mut session = FlowSession::new(g)
-        .target(target.clone())
-        .options(options.clone());
-    if let Some(cache) = cache {
-        session = session.cache(cache.clone());
-    }
-    session.run().expect("flow runs")
 }
 
 /// Every generated byte of a run, concatenated.
@@ -97,7 +86,7 @@ fn single_node_edit_resynthesizes_exactly_one_node() {
 
     for jobs in [1usize, 4] {
         let cache = StageCache::default();
-        let cold = run_flow(&base, &target, &all_hw_options(&base, jobs), Some(&cache));
+        let cold = run_flow(&base, &target, &all_hw_options(&base, jobs), Some(&cache)).unwrap();
         let cold_hls = cold
             .trace
             .node_delta_of("hls")
@@ -107,7 +96,8 @@ fn single_node_edit_resynthesizes_exactly_one_node() {
 
         // An unchanged re-run hits at stage level: the node tier is never
         // consulted, so the records carry no node activity at all.
-        let unchanged = run_flow(&base, &target, &all_hw_options(&base, jobs), Some(&cache));
+        let unchanged =
+            run_flow(&base, &target, &all_hw_options(&base, jobs), Some(&cache)).unwrap();
         assert!(unchanged.trace.cache_hits() > 0);
         assert!(unchanged.trace.node_delta_of("hls").is_none());
 
@@ -118,7 +108,8 @@ fn single_node_edit_resynthesizes_exactly_one_node() {
             &target,
             &all_hw_options(&edited, jobs),
             Some(&cache),
-        );
+        )
+        .unwrap();
         assert_eq!(
             warm.trace.cache_hits() + warm.trace.disk_hits(),
             0,
@@ -145,7 +136,7 @@ fn single_node_edit_resynthesizes_exactly_one_node() {
         assert_eq!(rtl.reused, n - 1);
 
         // Byte-identity against an uncached run of the edited graph.
-        let fresh = run_flow(&edited, &target, &all_hw_options(&edited, 1), None);
+        let fresh = run_flow(&edited, &target, &all_hw_options(&edited, 1), None).unwrap();
         assert_eq!(
             generated_bytes(&fresh),
             generated_bytes(&warm),
@@ -170,7 +161,7 @@ fn warm_edit_reuses_node_artifacts_across_processes() {
     let dir = temp_cache_dir("xproc");
 
     let first = StageCache::persistent(64, &dir).unwrap();
-    run_flow(&base, &target, &all_hw_options(&base, 1), Some(&first));
+    run_flow(&base, &target, &all_hw_options(&base, 1), Some(&first)).unwrap();
     assert!(
         first.stats().node_disk_writes > 0,
         "node entries were written through: {}",
@@ -178,7 +169,7 @@ fn warm_edit_reuses_node_artifacts_across_processes() {
     );
 
     let second = StageCache::persistent(64, &dir).unwrap();
-    let warm = run_flow(&edited, &target, &all_hw_options(&edited, 1), Some(&second));
+    let warm = run_flow(&edited, &target, &all_hw_options(&edited, 1), Some(&second)).unwrap();
     let hls = warm.trace.node_delta_of("hls").expect("hls node delta");
     assert_eq!(hls.computed_names, vec!["scale".to_string()]);
     assert_eq!(hls.reused, n - 1);
@@ -201,7 +192,7 @@ fn warm_edit_reuses_node_artifacts_across_processes() {
     );
     assert_eq!(stats.node_evictions, 0, "{}", stats.summary());
 
-    let fresh = run_flow(&edited, &target, &all_hw_options(&edited, 1), None);
+    let fresh = run_flow(&edited, &target, &all_hw_options(&edited, 1), None).unwrap();
     assert_eq!(generated_bytes(&fresh), generated_bytes(&warm));
     let _ = fs::remove_dir_all(&dir);
 }
@@ -217,7 +208,7 @@ fn corrupt_node_entries_degrade_to_recompute() {
     let dir = temp_cache_dir("junk");
 
     let first = StageCache::persistent(64, &dir).unwrap();
-    run_flow(&base, &target, &all_hw_options(&base, 1), Some(&first));
+    run_flow(&base, &target, &all_hw_options(&base, 1), Some(&first)).unwrap();
 
     // Truncate every *node* entry (payload kind byte 1 after the 36-byte
     // header); stage entries stay intact.
@@ -236,7 +227,7 @@ fn corrupt_node_entries_degrade_to_recompute() {
     assert!(damaged > 0, "the cold run must have written node entries");
 
     let second = StageCache::persistent(64, &dir).unwrap();
-    let warm = run_flow(&edited, &target, &all_hw_options(&edited, 1), Some(&second));
+    let warm = run_flow(&edited, &target, &all_hw_options(&edited, 1), Some(&second)).unwrap();
     let hls = warm.trace.node_delta_of("hls").expect("hls node delta");
     assert_eq!(
         hls.reused,
@@ -244,12 +235,12 @@ fn corrupt_node_entries_degrade_to_recompute() {
         "damaged node entries must not be served:\n{}",
         warm.trace.to_table()
     );
-    let fresh = run_flow(&edited, &target, &all_hw_options(&edited, 1), None);
+    let fresh = run_flow(&edited, &target, &all_hw_options(&edited, 1), None).unwrap();
     assert_eq!(generated_bytes(&fresh), generated_bytes(&warm));
 
     // The recompute rewrote the entries: a third process reuses again.
     let third = StageCache::persistent(64, &dir).unwrap();
-    let again = run_flow(&edited, &target, &all_hw_options(&edited, 1), Some(&third));
+    let again = run_flow(&edited, &target, &all_hw_options(&edited, 1), Some(&third)).unwrap();
     // The whole edited graph was re-cached by the second process at both
     // tiers, so this run hits at stage level and touches no node.
     assert!(again.trace.disk_hits() > 0, "{}", again.trace.to_table());

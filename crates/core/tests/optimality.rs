@@ -7,34 +7,14 @@
 //! must be byte-identical whether the MILP branch & bound ran serial or
 //! parallel.
 
-use cool_core::{FlowArtifacts, FlowOptions, FlowSession, Partitioner, StageCache};
+mod support;
+
+use support::run_flow;
+
+use cool_core::{FlowOptions, Partitioner, StageCache};
 use cool_ir::{Objective, Target};
 use cool_partition::{MilpOptions, Optimality};
 use cool_spec::workloads::{random_dag, RandomDagConfig};
-
-fn run_flow(
-    g: &cool_ir::PartitioningGraph,
-    target: &Target,
-    options: &FlowOptions,
-) -> Result<FlowArtifacts, cool_core::FlowError> {
-    FlowSession::new(g)
-        .target(target.clone())
-        .options(options.clone())
-        .run()
-}
-
-fn run_flow_cached(
-    g: &cool_ir::PartitioningGraph,
-    target: &Target,
-    options: &FlowOptions,
-    cache: &StageCache,
-) -> Result<FlowArtifacts, cool_core::FlowError> {
-    FlowSession::new(g)
-        .target(target.clone())
-        .options(options.clone())
-        .cache(cache.clone())
-        .run()
-}
 
 /// An 8-node random DAG whose MILP root relaxation is fractional under a
 /// low communication weight, so branch & bound genuinely branches: 23
@@ -64,7 +44,7 @@ fn milp_flow(max_nodes: usize, jobs: usize) -> FlowOptions {
 #[test]
 fn truncated_milp_partition_is_observably_non_optimal() {
     let g = branching_graph();
-    let art = run_flow(&g, &Target::fuzzy_board(), &milp_flow(12, 1)).unwrap();
+    let art = run_flow(&g, &Target::fuzzy_board(), &milp_flow(12, 1), None).unwrap();
     assert_eq!(art.partition.optimality, Optimality::LimitReached);
     assert_eq!(
         art.trace.warnings().len(),
@@ -91,7 +71,7 @@ fn truncated_milp_partition_is_observably_non_optimal() {
 #[test]
 fn completed_milp_partition_is_optimal_and_warning_free() {
     let g = branching_graph();
-    let art = run_flow(&g, &Target::fuzzy_board(), &milp_flow(50_000, 1)).unwrap();
+    let art = run_flow(&g, &Target::fuzzy_board(), &milp_flow(50_000, 1), None).unwrap();
     assert_eq!(art.partition.optimality, Optimality::Optimal);
     assert!(art.trace.warnings().is_empty());
     assert!(!art.trace.to_table().contains("warning:"));
@@ -109,9 +89,9 @@ fn truncated_partition_is_never_cached_and_still_warns_warm() {
     let target = Target::fuzzy_board();
     let options = milp_flow(12, 1);
     let cache = StageCache::default();
-    let cold = run_flow_cached(&g, &target, &options, &cache).unwrap();
+    let cold = run_flow(&g, &target, &options, Some(&cache)).unwrap();
     assert_eq!(cold.partition.optimality, Optimality::LimitReached);
-    let warm = run_flow_cached(&g, &target, &options, &cache).unwrap();
+    let warm = run_flow(&g, &target, &options, Some(&cache)).unwrap();
     assert!(
         warm.trace.cache_hits() > 0,
         "the deterministic prefix must hit:\n{}",
@@ -140,7 +120,7 @@ fn truncated_partition_is_never_cached_and_still_warns_warm() {
 #[test]
 fn genetic_flow_reports_heuristic_without_warnings() {
     let g = cool_spec::workloads::equalizer(2);
-    let art = run_flow(&g, &Target::fuzzy_board(), &FlowOptions::quick()).unwrap();
+    let art = run_flow(&g, &Target::fuzzy_board(), &FlowOptions::quick(), None).unwrap();
     assert_eq!(art.partition.optimality, Optimality::Heuristic);
     assert!(art.trace.warnings().is_empty());
 }
@@ -151,9 +131,9 @@ fn flow_jobs_thread_into_parallel_milp_byte_identically() {
     // deterministic merge keeps every artifact byte-identical.
     let g = branching_graph();
     let target = Target::fuzzy_board();
-    let serial = run_flow(&g, &target, &milp_flow(50_000, 1)).unwrap();
+    let serial = run_flow(&g, &target, &milp_flow(50_000, 1), None).unwrap();
     for jobs in [2usize, 4] {
-        let par = run_flow(&g, &target, &milp_flow(50_000, jobs)).unwrap();
+        let par = run_flow(&g, &target, &milp_flow(50_000, jobs), None).unwrap();
         assert_eq!(
             par.partition.mapping, serial.partition.mapping,
             "jobs={jobs}"

@@ -15,6 +15,10 @@
 //!   tier off (with error accounting), never the flow into a failure,
 //!   and never changes a produced byte.
 
+mod support;
+
+use support::run_flow;
+
 use std::fs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -36,19 +40,6 @@ fn spawn_daemon() -> (ServerHandle, thread::JoinHandle<()>) {
     let handle = server.handle();
     let join = thread::spawn(move || server.run().expect("accept loop"));
     (handle, join)
-}
-
-fn run_flow_cached(
-    g: &cool_ir::PartitioningGraph,
-    target: &Target,
-    options: &FlowOptions,
-    cache: &StageCache,
-) -> Result<FlowArtifacts, cool_core::FlowError> {
-    FlowSession::new(g)
-        .target(target.clone())
-        .options(options.clone())
-        .cache(cache.clone())
-        .run()
 }
 
 static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -119,7 +110,7 @@ fn warm_start_from_remote_is_byte_identical_at_jobs_1_and_4() {
     // store — it has no disk tier at all, so the daemon is the only
     // place its work survives.
     let a_cache = StageCache::new(64).with_remote(Arc::new(RemoteStore::new(addr.clone())));
-    let a = run_flow_cached(&g, &target, &equalizer8_options(1), &a_cache).expect("worker A");
+    let a = run_flow(&g, &target, &equalizer8_options(1), Some(&a_cache)).expect("worker A");
     assert_eq!(a.trace.cache_misses(), 9, "{}", a.trace.to_table());
     assert_eq!(artifact_fingerprint(&cold), artifact_fingerprint(&a));
     let a_stats = a_cache.stats();
@@ -137,8 +128,7 @@ fn warm_start_from_remote_is_byte_identical_at_jobs_1_and_4() {
         let b_cache = StageCache::persistent(64, &dir)
             .expect("open cache dir")
             .with_remote(Arc::new(RemoteStore::new(addr.clone())));
-        let b =
-            run_flow_cached(&g, &target, &equalizer8_options(jobs), &b_cache).expect("worker B");
+        let b = run_flow(&g, &target, &equalizer8_options(jobs), Some(&b_cache)).expect("worker B");
         assert_eq!(
             b.trace.remote_hits(),
             9,
@@ -166,8 +156,7 @@ fn warm_start_from_remote_is_byte_identical_at_jobs_1_and_4() {
         // Worker C: same machine as B, daemon not consulted (no remote
         // tier) — the healed disk tier alone warm-starts it.
         let c_cache = StageCache::persistent(64, &dir).expect("reopen cache dir");
-        let c =
-            run_flow_cached(&g, &target, &equalizer8_options(jobs), &c_cache).expect("worker C");
+        let c = run_flow(&g, &target, &equalizer8_options(jobs), Some(&c_cache)).expect("worker C");
         assert_eq!(
             c.trace.disk_hits(),
             9,
@@ -214,10 +203,10 @@ fn daemon_death_mid_sweep_degrades_without_changing_bytes() {
     // Populate the fleet store, then start the "sweep": one long-lived
     // cache, one flow per board.
     let seed_cache = StageCache::new(64).with_remote(Arc::new(RemoteStore::new(addr.clone())));
-    run_flow_cached(&g, &t_full, &options, &seed_cache).expect("seed flow");
+    run_flow(&g, &t_full, &options, Some(&seed_cache)).expect("seed flow");
 
     let sweep_cache = StageCache::new(64).with_remote(Arc::new(RemoteStore::new(addr)));
-    let first = run_flow_cached(&g, &t_full, &options, &sweep_cache).expect("sweep point 1");
+    let first = run_flow(&g, &t_full, &options, Some(&sweep_cache)).expect("sweep point 1");
     assert!(
         first.trace.remote_hits() > 0,
         "the first sweep point must warm-start from the daemon:\n{}",
@@ -232,7 +221,7 @@ fn daemon_death_mid_sweep_degrades_without_changing_bytes() {
     handle.shutdown();
     join.join().expect("server thread");
 
-    let second = run_flow_cached(&g, &t_capped, &options, &sweep_cache)
+    let second = run_flow(&g, &t_capped, &options, Some(&sweep_cache))
         .expect("a dead daemon must never fail the flow");
     assert_eq!(
         artifact_fingerprint(&ref_capped),
@@ -267,7 +256,7 @@ fn unreachable_daemon_degrades_to_local_only() {
         listener.local_addr().expect("probe addr").to_string()
     };
     let cache = StageCache::new(64).with_remote(Arc::new(RemoteStore::new(addr)));
-    let run = run_flow_cached(&g, &target, &options, &cache).expect("flow degrades, not fails");
+    let run = run_flow(&g, &target, &options, Some(&cache)).expect("flow degrades, not fails");
     assert_eq!(run.trace.cache_misses(), 9, "{}", run.trace.to_table());
     assert_eq!(artifact_fingerprint(&reference), artifact_fingerprint(&run));
     let stats = cache.stats();

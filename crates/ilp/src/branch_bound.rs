@@ -126,10 +126,7 @@ struct Frontier {
 struct Shared<'a> {
     p: &'a Problem,
     max_nodes: usize,
-    /// Per-node LP knobs. Kernel `jobs` is 1 here: inside the tree the
-    /// parallelism budget is spent on concurrent *nodes*, not on row
-    /// kernels (the root LP, solved before workers exist, gets the full
-    /// kernel budget instead).
+    /// Per-node LP knobs (the same as the root LP's).
     lp_opts: LpOptions,
     warm_start: bool,
     int_tol: f64,
@@ -162,17 +159,19 @@ struct Shared<'a> {
 }
 
 impl<'a> Shared<'a> {
-    fn new(p: &'a Problem, options: &SolveOptions, jobs: usize, root: OpenSubtree) -> Shared<'a> {
+    fn new(
+        p: &'a Problem,
+        options: &SolveOptions,
+        lp_opts: LpOptions,
+        jobs: usize,
+        root: OpenSubtree,
+    ) -> Shared<'a> {
         let mut heap = BinaryHeap::new();
         heap.push(root);
         Shared {
             p,
             max_nodes: options.max_nodes,
-            lp_opts: LpOptions {
-                max_pivots: options.max_pivots,
-                pricing: options.pricing,
-                jobs: 1,
-            },
+            lp_opts,
             warm_start: options.warm_start,
             int_tol: options.int_tol,
             jobs,
@@ -473,17 +472,12 @@ pub(crate) fn solve(p: &Problem, options: &SolveOptions) -> Result<Solution, Ilp
     };
 
     // Root relaxation: early Infeasible/Unbounded/PivotLimit detection,
-    // and the root subtree's bound. The tree workers don't exist yet, so
-    // the whole `jobs` budget goes to the row-parallel simplex kernels —
-    // this is where a root-integral instance (one node, no tree) gets
-    // its parallel speedup. The kernels are bit-deterministic, so the
-    // root solve is identical at every job count.
-    let root_opts = LpOptions {
+    // and the root subtree's bound.
+    let lp_opts = LpOptions {
         max_pivots: options.max_pivots,
         pricing: options.pricing,
-        jobs,
     };
-    let root = solve_lp_opts(p, &[], &mut ws, &root_opts)?;
+    let root = solve_lp_opts(p, &[], &mut ws, &lp_opts)?;
     let root_basis: WarmBasis = if options.warm_start {
         Some(Arc::new(ws.basis().to_vec()))
     } else {
@@ -493,6 +487,7 @@ pub(crate) fn solve(p: &Problem, options: &SolveOptions) -> Result<Solution, Ilp
     let shared = Shared::new(
         p,
         options,
+        lp_opts,
         jobs,
         OpenSubtree {
             bound: root.objective,
@@ -538,7 +533,7 @@ pub(crate) fn solve(p: &Problem, options: &SolveOptions) -> Result<Solution, Ilp
             }
             let r = lp.values[branch_var].round();
             dive_fix.push((branch_var, r, r));
-            match solve_lp_delta(p, &dive_fix, &mut ws, &root_opts) {
+            match solve_lp_delta(p, &dive_fix, &mut ws, &lp_opts) {
                 Ok(next) => lp = next,
                 // The dive is a heuristic: any failure (infeasible leaf,
                 // pivot trouble) just means no early incumbent.

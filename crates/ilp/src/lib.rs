@@ -9,8 +9,8 @@
 //! * a **two-phase dense primal simplex** for the LP relaxation
 //!   ([`simplex`]) on a flat stride-indexed tableau, with steepest-edge
 //!   pricing by default and a Bland's-rule anti-cycling fallback
-//!   ([`PricingRule`]), basis warm starts for re-solves one bound flip
-//!   apart, and row-parallel pricing/update kernels, and
+//!   ([`PricingRule`]), and basis warm starts for re-solves one bound
+//!   flip apart, and
 //! * **branch & bound** over the binary variables ([`branch_bound`]),
 //!   most-fractional branching, best-bound pruning and node limits,
 //!   child LPs warm-started from the parent's optimal basis; parallel

@@ -203,7 +203,7 @@ fn run(args: Vec<String>) -> Result<(), Box<dyn Error>> {
             for (i, a) in rest.iter().enumerate().skip(1) {
                 // A flag's value can contain `=` (`--pin '*=hw0'`) —
                 // only bare arguments are input assignments.
-                if i > 0 && VALUE_FLAGS.contains(&rest[i - 1].as_str()) {
+                if is_flag_value(rest, i) {
                     continue;
                 }
                 if let Some((k, v)) = a.split_once('=') {
@@ -345,13 +345,17 @@ const VALUE_FLAGS: &[&str] = &[
 /// Every flag that takes no value.
 const SWITCH_FLAGS: &[&str] = &["--quick", "--trace", "--csv", "--cache", "--no-cache"];
 
+/// Whether `rest[i]` is the value of the `VALUE_FLAGS` flag before it.
+fn is_flag_value(rest: &[String], i: usize) -> bool {
+    i > 0 && VALUE_FLAGS.contains(&rest[i - 1].as_str())
+}
+
 /// Fail on a `--flag` no subcommand reads: silently ignoring it would run
 /// a different flow than the one the caller asked for.
 fn reject_unknown_flags(rest: &[String]) -> Result<(), String> {
     for (i, a) in rest.iter().enumerate() {
-        let is_value = i > 0 && VALUE_FLAGS.contains(&rest[i - 1].as_str());
         let known = VALUE_FLAGS.contains(&a.as_str()) || SWITCH_FLAGS.contains(&a.as_str());
-        if a.starts_with("--") && !is_value && !known {
+        if a.starts_with("--") && !is_flag_value(rest, i) && !known {
             return Err(format!("unknown flag `{a}`\n{}", usage()));
         }
     }
@@ -715,11 +719,7 @@ fn run_watch(rest: &[String]) -> Result<(), Box<dyn Error>> {
     use std::io::Write as _;
     use std::time::{Duration, Instant};
 
-    let path = rest
-        .iter()
-        .find(|a| !a.starts_with("--") && !a.contains('='))
-        .ok_or("missing specification file argument")?
-        .clone();
+    let path = spec_path(rest)?.to_string();
     let base_options = parse_options(rest)?;
     let target = target_flag(rest)?;
     let trace = rest.iter().any(|a| a == "--trace");
@@ -1090,12 +1090,19 @@ fn warn_on_truncation(optimality: Optimality, gap: Option<f64>) {
     }
 }
 
+/// The spec path: the first argument that is neither a flag, a flag's
+/// value nor a `name=value` simulation input.
+fn spec_path(rest: &[String]) -> Result<&str, &'static str> {
+    rest.iter()
+        .enumerate()
+        .find(|&(i, a)| !is_flag_value(rest, i) && !a.starts_with("--") && !a.contains('='))
+        .map(|(_, a)| a.as_str())
+        .ok_or("missing specification file argument")
+}
+
 fn read_spec(rest: &[String]) -> Result<String, Box<dyn Error>> {
-    let path = rest
-        .iter()
-        .find(|a| !a.starts_with("--") && !a.contains('='))
-        .ok_or("missing specification file argument")?;
-    Ok(fs::read_to_string(path)?)
+    let path = spec_path(rest)?;
+    fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}").into())
 }
 
 fn flag_value(rest: &[String], flag: &str) -> Option<String> {

@@ -9,7 +9,11 @@
 //! every stage on a 128-bit content digest of precisely what the stage
 //! reads (the dependency-DAG keys of [`crate::engine::Engine::run`]), and
 //! on a key match it skips the stage and restores the artifacts the
-//! original run deposited into the [`FlowContext`].
+//! original run deposited into the [`FlowContext`]. One level below,
+//! per-node artifacts ([`NodeArtifact`]) are cached the same way. Both
+//! are [`CacheEntry`]s in one `u128` key space, and one
+//! [`StageCache::lookup`] / [`StageCache::insert`] pair walks them
+//! through every tier.
 //!
 //! The cache is `Arc`-shared and mutex-guarded so one instance can serve
 //! many concurrent [`crate::FlowSession`]s (sweep workers, the
@@ -26,7 +30,7 @@
 
 use std::collections::HashMap;
 use std::path::Path;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 use cool_ir::codec::{Codec, CodecError, Decoder, Encoder};
@@ -415,75 +419,192 @@ impl Codec for NodeArtifact {
     }
 }
 
-/// What one [`StageCache::lookup_node`] found.
-#[derive(Debug, Clone)]
-pub struct NodeHit {
-    /// The cached per-node artifact.
-    pub artifact: Arc<NodeArtifact>,
-    /// `true` when the entry came from the disk tier.
-    pub from_disk: bool,
-    /// `true` when the entry came from the remote fleet tier.
-    pub from_remote: bool,
+/// Which of the two kinds of [`CacheEntry`] a lookup asks for. The
+/// discriminant is the entry-kind byte every `.cce` payload starts with.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EntryKind {
+    /// A stage execution ([`CacheEntry::Stage`]).
+    Stage = 0,
+    /// A per-node artifact ([`CacheEntry::Node`]).
+    Node = 1,
 }
 
-/// One cached per-node artifact with its LRU recency.
-#[derive(Debug, Clone)]
-struct NodeEntry {
-    artifact: Arc<NodeArtifact>,
-    last_used: u64,
+impl Codec for EntryKind {
+    fn encode(&self, e: &mut Encoder) {
+        e.put_u8(*self as u8);
+    }
+
+    fn decode(d: &mut Decoder<'_>) -> Result<Self, CodecError> {
+        match d.take_u8()? {
+            0 => Ok(EntryKind::Stage),
+            1 => Ok(EntryKind::Node),
+            tag => Err(CodecError::InvalidTag {
+                type_name: "EntryKind",
+                tag,
+            }),
+        }
+    }
 }
 
-/// One cached stage execution.
+/// One cached value — the single entry type of the memory, disk and
+/// remote tiers. Its [`Codec`] encoding (the [`EntryKind`] byte, then the
+/// body) is exactly the payload of a `.cce` entry file, which is also
+/// what the `coold` cache verbs carry.
+///
+/// Stage keys and node keys are disjoint namespaces (DAG stage digests
+/// vs `cool-node-key/…` digests), so both kinds share one `u128` key
+/// space.
 #[derive(Debug, Clone)]
-struct Entry {
-    delta: Arc<ArtifactDelta>,
-    /// Digests of the slots the delta fills, so a hit can extend the
-    /// engine's slot-digest table without re-hashing the artifacts.
-    writes: Arc<Vec<(ArtifactSlot, u128)>>,
-    /// Wall-clock the original execution took — the time a hit saves.
-    cost: Duration,
-    last_used: u64,
+pub enum CacheEntry {
+    /// One stage execution.
+    Stage {
+        /// The artifacts the stage deposited (boxed: a delta is large
+        /// next to a node artifact).
+        delta: Box<ArtifactDelta>,
+        /// Digests of the slots the delta fills, so a hit can extend the
+        /// engine's slot-digest table without re-hashing the artifacts.
+        writes: Vec<(ArtifactSlot, u128)>,
+        /// Wall-clock the original execution took — the time a hit saves.
+        cost: Duration,
+    },
+    /// One per-node artifact.
+    Node(NodeArtifact),
 }
 
-#[derive(Debug, Default)]
-struct Inner {
-    map: HashMap<StageKey, Entry>,
-    capacity: usize,
-    tick: u64,
-    hits: u64,
-    disk_hits: u64,
-    misses: u64,
-    evictions: u64,
-    disk_writes: u64,
-    disk_evictions: u64,
-    saved: Duration,
-    /// The node tier: per-node artifacts under namespaced node keys,
-    /// bounded by its own (much larger) LRU capacity — node entries are
-    /// small and numerous next to stage deltas.
-    nodes: HashMap<StageKey, NodeEntry>,
-    node_capacity: usize,
-    node_hits: u64,
-    node_disk_hits: u64,
-    node_misses: u64,
-    node_evictions: u64,
-    node_disk_writes: u64,
+impl CacheEntry {
+    /// The entry's kind.
+    #[must_use]
+    pub fn kind(&self) -> EntryKind {
+        match self {
+            CacheEntry::Stage { .. } => EntryKind::Stage,
+            CacheEntry::Node(_) => EntryKind::Node,
+        }
+    }
+
+    /// Wall-clock a hit on this entry saves (node entries record none).
+    fn saved(&self) -> Duration {
+        match self {
+            CacheEntry::Stage { cost, .. } => *cost,
+            CacheEntry::Node(_) => Duration::ZERO,
+        }
+    }
+}
+
+impl Codec for CacheEntry {
+    fn encode(&self, e: &mut Encoder) {
+        self.kind().encode(e);
+        match self {
+            CacheEntry::Stage {
+                delta,
+                writes,
+                cost,
+            } => {
+                e.put_u64(u64::try_from(cost.as_nanos()).unwrap_or(u64::MAX));
+                writes.encode(e);
+                delta.encode(e);
+            }
+            CacheEntry::Node(artifact) => artifact.encode(e),
+        }
+    }
+
+    fn decode(d: &mut Decoder<'_>) -> Result<Self, CodecError> {
+        match EntryKind::decode(d)? {
+            EntryKind::Stage => {
+                let cost = Duration::from_nanos(d.take_u64()?);
+                let writes = Vec::decode(d)?;
+                let delta = Box::new(ArtifactDelta::decode(d)?);
+                Ok(CacheEntry::Stage {
+                    delta,
+                    writes,
+                    cost,
+                })
+            }
+            EntryKind::Node => Ok(CacheEntry::Node(NodeArtifact::decode(d)?)),
+        }
+    }
 }
 
 /// What one [`StageCache::lookup`] found.
 #[derive(Debug, Clone)]
 pub struct CacheHit {
-    /// The artifacts to restore.
-    pub delta: Arc<ArtifactDelta>,
-    /// Digests of the restored slots.
-    pub writes: Arc<Vec<(ArtifactSlot, u128)>>,
-    /// Wall-clock the original execution took.
-    pub saved: Duration,
+    /// The cached entry, always of the kind the lookup asked for.
+    pub entry: Arc<CacheEntry>,
     /// `true` when the entry came from the disk tier (an in-memory miss
     /// satisfied by the cache directory).
     pub from_disk: bool,
     /// `true` when the entry was fetched from the remote fleet tier (a
     /// `coold` daemon) and re-materialized locally.
     pub from_remote: bool,
+}
+
+/// One resident entry with its LRU recency.
+#[derive(Debug)]
+struct Resident {
+    entry: Arc<CacheEntry>,
+    last_used: u64,
+}
+
+/// The in-memory LRU tier of one [`EntryKind`], with its counters.
+#[derive(Debug, Default)]
+struct Tier {
+    map: HashMap<StageKey, Resident>,
+    capacity: usize,
+    /// Lookups served from cache (memory, disk and remote combined).
+    hits: u64,
+    /// The subset of `hits` served by the disk tier.
+    disk_hits: u64,
+    /// Lookups that found nothing.
+    misses: u64,
+    /// Entries evicted by the LRU bound.
+    evictions: u64,
+    /// Entries written to the disk tier (inserts and remote heals).
+    disk_writes: u64,
+    /// Sum of the hit entries' original execution times.
+    saved: Duration,
+}
+
+impl Tier {
+    fn new(capacity: usize) -> Tier {
+        Tier {
+            capacity: capacity.max(1),
+            ..Tier::default()
+        }
+    }
+
+    /// Make `entry` resident under `key` at recency `tick`, evicting the
+    /// least-recently used entries over capacity. Returns `true` when the
+    /// key was not resident before.
+    fn put(&mut self, key: StageKey, entry: Arc<CacheEntry>, tick: u64) -> bool {
+        let fresh = self
+            .map
+            .insert(
+                key,
+                Resident {
+                    entry,
+                    last_used: tick,
+                },
+            )
+            .is_none();
+        while self.map.len() > self.capacity {
+            let Some((&victim, _)) = self.map.iter().min_by_key(|(_, r)| r.last_used) else {
+                break;
+            };
+            self.map.remove(&victim);
+            self.evictions += 1;
+        }
+        fresh
+    }
+}
+
+#[derive(Debug)]
+struct Inner {
+    /// One tier per [`EntryKind`], indexed by its discriminant. Node
+    /// entries are small and numerous next to stage deltas, so their
+    /// tier has its own, much larger bound.
+    tiers: [Tier; 2],
+    tick: u64,
+    /// Corrupt or version-mismatched disk entries evicted (either kind).
+    disk_evictions: u64,
 }
 
 /// Aggregate cache counters, for `--trace` output and the benches.
@@ -616,8 +737,9 @@ impl CacheStats {
     }
 }
 
-/// A shared, LRU-bounded, content-addressed cache of stage executions,
-/// optionally backed by a persistent on-disk tier.
+/// A shared, LRU-bounded, content-addressed cache of [`CacheEntry`]s —
+/// stage executions and per-node artifacts — optionally backed by a
+/// persistent on-disk tier and a remote fleet tier.
 ///
 /// Cloning is cheap (an `Arc` bump); clones share one store (memory and
 /// disk), which is how concurrent [`crate::FlowSession`]s (sweep
@@ -645,14 +767,18 @@ impl StageCache {
     /// node, so the bound is far above the stage-entry capacity.
     pub const DEFAULT_NODE_CAPACITY: usize = 4096;
 
-    /// An in-memory cache bounded to `capacity` entries (minimum 1).
+    /// An in-memory cache bounded to `capacity` stage entries (minimum 1)
+    /// and [`StageCache::DEFAULT_NODE_CAPACITY`] node entries.
     #[must_use]
     pub fn new(capacity: usize) -> StageCache {
         StageCache {
             inner: Arc::new(Mutex::new(Inner {
-                capacity: capacity.max(1),
-                node_capacity: StageCache::DEFAULT_NODE_CAPACITY,
-                ..Inner::default()
+                tiers: [
+                    Tier::new(capacity),
+                    Tier::new(StageCache::DEFAULT_NODE_CAPACITY),
+                ],
+                tick: 0,
+                disk_evictions: 0,
             })),
             disk: None,
             remote: None,
@@ -717,398 +843,132 @@ impl StageCache {
         self.remote.as_deref()
     }
 
-    /// Look up `key` tier by tier — memory, then disk, then the remote
-    /// fleet store; refreshes recency and counts hit/disk-hit/miss. A
-    /// disk or remote hit is promoted into the memory tier, and a remote
-    /// hit additionally heals the local disk tier (when attached) so the
-    /// next process warm-starts without the network.
+    /// This cache without its remote tier. A daemon serves its cache
+    /// through this, so a put it accepts can never be forwarded to
+    /// another daemon and daemons can never form a put loop.
+    pub(crate) fn without_remote(mut self) -> StageCache {
+        self.remote = None;
+        self
+    }
+
+    /// Look up the `kind` entry under `key` tier by tier — memory, then
+    /// disk, then the remote fleet store; refreshes recency and counts
+    /// the kind's hit/disk-hit/miss. A disk or remote hit is promoted
+    /// into the memory tier, and a remote hit additionally heals the
+    /// local disk tier (when attached) so the next process warm-starts
+    /// without the network. An entry of the other kind under `key` is a
+    /// miss and is left where it is.
     #[must_use]
-    pub fn lookup(&self, key: StageKey) -> Option<CacheHit> {
+    pub fn lookup(&self, kind: EntryKind, key: StageKey) -> Option<CacheHit> {
         {
-            let mut inner = self.inner.lock().expect("stage cache poisoned");
+            let mut inner = self.lock();
             inner.tick += 1;
             let tick = inner.tick;
-            let found = inner.map.get_mut(&key).map(|e| {
-                e.last_used = tick;
-                CacheHit {
-                    delta: Arc::clone(&e.delta),
-                    writes: Arc::clone(&e.writes),
-                    saved: e.cost,
+            let tier = &mut inner.tiers[kind as usize];
+            if let Some(resident) = tier.map.get_mut(&key) {
+                resident.last_used = tick;
+                let entry = Arc::clone(&resident.entry);
+                tier.hits += 1;
+                tier.saved += entry.saved();
+                return Some(CacheHit {
+                    entry,
                     from_disk: false,
                     from_remote: false,
-                }
-            });
-            if let Some(hit) = found {
-                inner.hits += 1;
-                inner.saved += hit.saved;
-                return Some(hit);
+                });
             }
             if self.disk.is_none() && self.remote.is_none() {
-                inner.misses += 1;
+                tier.misses += 1;
                 return None;
             }
         }
         // Memory miss with lower tiers attached: disk and network I/O
         // happen outside the lock (they must not serialize the sweep
         // workers), then accounting and promotion re-acquire it.
+        let mut found = None;
         let mut disk_evicted = false;
         if let Some(disk) = &self.disk {
             match disk.load(key) {
-                Load::Hit {
-                    delta,
-                    writes,
-                    cost,
-                } => {
-                    let hit = CacheHit {
-                        delta: Arc::new(*delta),
-                        writes: Arc::new(writes),
-                        saved: cost,
-                        from_disk: true,
-                        from_remote: false,
-                    };
-                    let mut inner = self.inner.lock().expect("stage cache poisoned");
-                    inner.hits += 1;
-                    inner.disk_hits += 1;
-                    inner.saved += cost;
-                    Self::promote(&mut inner, key, &hit);
-                    return Some(hit);
-                }
+                Load::Hit(entry) if entry.kind() == kind => found = Some((entry, true)),
+                Load::Hit(_) | Load::Miss => {}
                 Load::Evicted => disk_evicted = true,
-                Load::Miss => {}
             }
         }
-        if let Some(remote) = &self.remote {
-            let decoded = remote
-                .get_stage(key)
-                .and_then(|bytes| crate::disk::decode_stage_entry(&bytes));
-            if let Some((delta, writes, cost)) = decoded {
-                let hit = CacheHit {
-                    delta: Arc::new(delta),
-                    writes: Arc::new(writes),
-                    saved: cost,
-                    from_disk: false,
-                    from_remote: true,
-                };
+        let mut healed = false;
+        if let (None, Some(remote)) = (&found, &self.remote) {
+            let fetched = remote
+                .get(kind, key)
+                .and_then(|bytes| crate::disk::decode_entry(&bytes))
+                .filter(|entry| entry.kind() == kind);
+            if let Some(entry) = fetched {
                 // Heal the local disk tier so the next process on this
                 // machine warm-starts without touching the network.
-                let healed = self.disk.as_ref().is_some_and(|d| {
-                    matches!(d.store(key, &hit.delta, &hit.writes, cost), Ok(true))
-                });
-                let mut inner = self.inner.lock().expect("stage cache poisoned");
-                inner.hits += 1;
-                inner.saved += cost;
-                if disk_evicted {
-                    inner.disk_evictions += 1;
-                }
-                if healed {
-                    inner.disk_writes += 1;
-                }
-                Self::promote(&mut inner, key, &hit);
-                return Some(hit);
+                healed = self
+                    .disk
+                    .as_ref()
+                    .is_some_and(|d| matches!(d.store(key, &entry), Ok(true)));
+                found = Some((entry, false));
             }
         }
-        let mut inner = self.inner.lock().expect("stage cache poisoned");
-        inner.misses += 1;
-        if disk_evicted {
-            inner.disk_evictions += 1;
-        }
-        None
-    }
-
-    /// Insert `hit` into the memory tier under `key`, evicting over
-    /// capacity (caller holds the lock and has already accounted the hit).
-    fn promote(inner: &mut Inner, key: StageKey, hit: &CacheHit) {
+        let mut inner = self.lock();
+        inner.disk_evictions += u64::from(disk_evicted);
         inner.tick += 1;
         let tick = inner.tick;
-        inner.map.insert(
-            key,
-            Entry {
-                delta: Arc::clone(&hit.delta),
-                writes: Arc::clone(&hit.writes),
-                cost: hit.saved,
-                last_used: tick,
-            },
-        );
-        Self::evict_over_capacity(inner);
+        let tier = &mut inner.tiers[kind as usize];
+        tier.disk_writes += u64::from(healed);
+        let Some((entry, from_disk)) = found else {
+            tier.misses += 1;
+            return None;
+        };
+        let entry = Arc::new(entry);
+        tier.hits += 1;
+        tier.disk_hits += u64::from(from_disk);
+        tier.saved += entry.saved();
+        tier.put(key, Arc::clone(&entry), tick);
+        Some(CacheHit {
+            entry,
+            from_disk,
+            from_remote: !from_disk,
+        })
     }
 
-    /// Insert the delta a freshly executed stage produced, with the
-    /// content digests of the slots it fills. Evicts the least-recently
-    /// used in-memory entry when the bound is exceeded; inserting an
-    /// existing key refreshes it (deterministic stages make the value
-    /// identical, so last-writer-wins is safe under worker races). With a
-    /// disk tier the entry is written through (atomically; an entry
-    /// already on disk is left untouched).
-    pub fn insert(
-        &self,
-        key: StageKey,
-        delta: ArtifactDelta,
-        writes: Vec<(ArtifactSlot, u128)>,
-        cost: Duration,
-    ) {
-        let delta = Arc::new(delta);
-        let writes = Arc::new(writes);
-        {
-            let mut inner = self.inner.lock().expect("stage cache poisoned");
+    /// Insert a freshly computed entry under `key`. Evicts the
+    /// least-recently used in-memory entry of the same kind when its bound
+    /// is exceeded; inserting an existing key refreshes it (deterministic
+    /// stages make the value identical, so last-writer-wins is safe under
+    /// worker races). With a disk tier the entry is written through
+    /// (atomically; an entry already on disk is left untouched), and with
+    /// a remote tier it is offered to the daemon. Returns `true` when the
+    /// key was not already resident in memory.
+    pub fn insert(&self, key: StageKey, entry: CacheEntry) -> bool {
+        let kind = entry.kind();
+        let entry = Arc::new(entry);
+        let fresh = {
+            let mut inner = self.lock();
             inner.tick += 1;
             let tick = inner.tick;
-            inner.map.insert(
-                key,
-                Entry {
-                    delta: Arc::clone(&delta),
-                    writes: Arc::clone(&writes),
-                    cost,
-                    last_used: tick,
-                },
-            );
-            Self::evict_over_capacity(&mut inner);
-        }
+            inner.tiers[kind as usize].put(key, Arc::clone(&entry), tick)
+        };
         if let Some(disk) = &self.disk {
             // Write-through outside the lock. A failed write degrades the
             // disk tier to "smaller", never the run to "wrong".
-            if let Ok(true) = disk.store(key, &delta, &writes, cost) {
-                self.inner.lock().expect("stage cache poisoned").disk_writes += 1;
+            if let Ok(true) = disk.store(key, &entry) {
+                self.lock().tiers[kind as usize].disk_writes += 1;
             }
         }
         if let Some(remote) = &self.remote {
             // Fleet write-through: ship the exact on-disk entry bytes so
             // the daemon validates them with DiskStore's totality and
             // every shard stores an identical representation.
-            let bytes = crate::disk::encode_entry_with_version(
-                &delta,
-                &writes,
-                cost,
-                crate::disk::FORMAT_VERSION,
-            );
-            remote.put_stage(key, bytes);
-        }
-    }
-
-    /// Insert an entry received over the wire (the daemon side of a
-    /// `CachePutStage`): memory and disk tiers only — never forwarded to
-    /// a remote tier, so daemons can never form a put loop. Returns
-    /// `true` when the key was not already resident in memory.
-    pub fn insert_remote(
-        &self,
-        key: StageKey,
-        delta: ArtifactDelta,
-        writes: Vec<(ArtifactSlot, u128)>,
-        cost: Duration,
-    ) -> bool {
-        let delta = Arc::new(delta);
-        let writes = Arc::new(writes);
-        let fresh = {
-            let mut inner = self.inner.lock().expect("stage cache poisoned");
-            inner.tick += 1;
-            let tick = inner.tick;
-            let fresh = inner
-                .map
-                .insert(
-                    key,
-                    Entry {
-                        delta: Arc::clone(&delta),
-                        writes: Arc::clone(&writes),
-                        cost,
-                        last_used: tick,
-                    },
-                )
-                .is_none();
-            Self::evict_over_capacity(&mut inner);
-            fresh
-        };
-        if let Some(disk) = &self.disk {
-            if let Ok(true) = disk.store(key, &delta, &writes, cost) {
-                self.inner.lock().expect("stage cache poisoned").disk_writes += 1;
-            }
-        }
-        fresh
-    }
-
-    /// Look up a per-node artifact by its namespaced node key tier by
-    /// tier — memory, then disk, then the remote fleet store — promoting
-    /// lower-tier hits into memory (remote hits also heal the local disk
-    /// tier). Counts node-tier hit/disk-hit/miss.
-    #[must_use]
-    pub fn lookup_node(&self, key: StageKey) -> Option<NodeHit> {
-        {
-            let mut inner = self.inner.lock().expect("stage cache poisoned");
-            inner.tick += 1;
-            let tick = inner.tick;
-            let found = inner.nodes.get_mut(&key).map(|e| {
-                e.last_used = tick;
-                Arc::clone(&e.artifact)
-            });
-            if let Some(artifact) = found {
-                inner.node_hits += 1;
-                return Some(NodeHit {
-                    artifact,
-                    from_disk: false,
-                    from_remote: false,
-                });
-            }
-            if self.disk.is_none() && self.remote.is_none() {
-                inner.node_misses += 1;
-                return None;
-            }
-        }
-        // Memory miss with lower tiers: read outside the lock, as with
-        // stage entries.
-        let mut disk_evicted = false;
-        if let Some(disk) = &self.disk {
-            match disk.load_node(key) {
-                crate::disk::NodeLoad::Hit(artifact) => {
-                    let artifact = Arc::new(artifact);
-                    let mut inner = self.inner.lock().expect("stage cache poisoned");
-                    inner.node_hits += 1;
-                    inner.node_disk_hits += 1;
-                    Self::promote_node(&mut inner, key, &artifact);
-                    return Some(NodeHit {
-                        artifact,
-                        from_disk: true,
-                        from_remote: false,
-                    });
-                }
-                crate::disk::NodeLoad::Evicted => disk_evicted = true,
-                crate::disk::NodeLoad::Miss => {}
-            }
-        }
-        if let Some(remote) = &self.remote {
-            let decoded = remote
-                .get_node(key)
-                .and_then(|bytes| crate::disk::decode_node_entry(&bytes));
-            if let Some(artifact) = decoded {
-                let artifact = Arc::new(artifact);
-                let healed = self
-                    .disk
-                    .as_ref()
-                    .is_some_and(|d| matches!(d.store_node(key, &artifact), Ok(true)));
-                let mut inner = self.inner.lock().expect("stage cache poisoned");
-                inner.node_hits += 1;
-                if disk_evicted {
-                    inner.disk_evictions += 1;
-                }
-                if healed {
-                    inner.node_disk_writes += 1;
-                }
-                Self::promote_node(&mut inner, key, &artifact);
-                return Some(NodeHit {
-                    artifact,
-                    from_disk: false,
-                    from_remote: true,
-                });
-            }
-        }
-        let mut inner = self.inner.lock().expect("stage cache poisoned");
-        inner.node_misses += 1;
-        if disk_evicted {
-            inner.disk_evictions += 1;
-        }
-        None
-    }
-
-    /// Insert `artifact` into the node memory tier under `key` (caller
-    /// holds the lock and has already accounted the hit).
-    fn promote_node(inner: &mut Inner, key: StageKey, artifact: &Arc<NodeArtifact>) {
-        inner.tick += 1;
-        let tick = inner.tick;
-        inner.nodes.insert(
-            key,
-            NodeEntry {
-                artifact: Arc::clone(artifact),
-                last_used: tick,
-            },
-        );
-        Self::evict_nodes_over_capacity(inner);
-    }
-
-    /// Insert a freshly computed per-node artifact under its node key,
-    /// writing through to the disk tier when one is attached. Re-inserts
-    /// of an existing key refresh recency (determinism makes the values
-    /// identical).
-    pub fn insert_node(&self, key: StageKey, artifact: NodeArtifact) {
-        let artifact = Arc::new(artifact);
-        {
-            let mut inner = self.inner.lock().expect("stage cache poisoned");
-            inner.tick += 1;
-            let tick = inner.tick;
-            inner.nodes.insert(
+            remote.put(
                 key,
-                NodeEntry {
-                    artifact: Arc::clone(&artifact),
-                    last_used: tick,
-                },
+                crate::disk::encode_entry(&entry, crate::disk::FORMAT_VERSION),
             );
-            Self::evict_nodes_over_capacity(&mut inner);
-        }
-        if let Some(disk) = &self.disk {
-            if let Ok(true) = disk.store_node(key, &artifact) {
-                self.inner
-                    .lock()
-                    .expect("stage cache poisoned")
-                    .node_disk_writes += 1;
-            }
-        }
-        if let Some(remote) = &self.remote {
-            let bytes =
-                crate::disk::encode_node_entry_with_version(&artifact, crate::disk::FORMAT_VERSION);
-            remote.put_node(key, bytes);
-        }
-    }
-
-    /// Insert a node entry received over the wire (the daemon side of a
-    /// `CachePutNode`): memory and disk tiers only, never forwarded to a
-    /// remote tier. Returns `true` when the key was not already resident
-    /// in memory.
-    pub fn insert_node_remote(&self, key: StageKey, artifact: NodeArtifact) -> bool {
-        let artifact = Arc::new(artifact);
-        let fresh = {
-            let mut inner = self.inner.lock().expect("stage cache poisoned");
-            inner.tick += 1;
-            let tick = inner.tick;
-            let fresh = inner
-                .nodes
-                .insert(
-                    key,
-                    NodeEntry {
-                        artifact: Arc::clone(&artifact),
-                        last_used: tick,
-                    },
-                )
-                .is_none();
-            Self::evict_nodes_over_capacity(&mut inner);
-            fresh
-        };
-        if let Some(disk) = &self.disk {
-            if let Ok(true) = disk.store_node(key, &artifact) {
-                self.inner
-                    .lock()
-                    .expect("stage cache poisoned")
-                    .node_disk_writes += 1;
-            }
         }
         fresh
     }
 
-    fn evict_nodes_over_capacity(inner: &mut Inner) {
-        while inner.nodes.len() > inner.node_capacity.max(1) {
-            if let Some((&victim, _)) = inner.nodes.iter().min_by_key(|(_, e)| e.last_used) {
-                inner.nodes.remove(&victim);
-                inner.node_evictions += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn evict_over_capacity(inner: &mut Inner) {
-        while inner.map.len() > inner.capacity {
-            if let Some((&victim, _)) = inner.map.iter().min_by_key(|(_, e)| e.last_used) {
-                inner.map.remove(&victim);
-                inner.evictions += 1;
-            } else {
-                break;
-            }
-        }
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().expect("stage cache poisoned")
     }
 
     /// Current counters.
@@ -1119,35 +979,36 @@ impl StageCache {
             .as_ref()
             .map(|r| r.counters())
             .unwrap_or_default();
-        let inner = self.inner.lock().expect("stage cache poisoned");
+        let inner = self.lock();
+        let [stage, node] = &inner.tiers;
         CacheStats {
             remote_hits: remote.hits,
             remote_misses: remote.misses,
             remote_puts: remote.puts,
             remote_errors: remote.errors,
             remote_roundtrip: remote.roundtrip,
-            hits: inner.hits,
-            disk_hits: inner.disk_hits,
-            misses: inner.misses,
-            evictions: inner.evictions,
-            disk_writes: inner.disk_writes,
+            hits: stage.hits,
+            disk_hits: stage.disk_hits,
+            misses: stage.misses,
+            evictions: stage.evictions,
+            disk_writes: stage.disk_writes,
             disk_evictions: inner.disk_evictions,
             disk_size_evictions: self.disk.as_ref().map_or(0, |d| d.size_evictions()),
-            entries: inner.map.len(),
-            saved: inner.saved,
-            node_hits: inner.node_hits,
-            node_disk_hits: inner.node_disk_hits,
-            node_misses: inner.node_misses,
-            node_evictions: inner.node_evictions,
-            node_disk_writes: inner.node_disk_writes,
-            node_entries: inner.nodes.len(),
+            entries: stage.map.len(),
+            saved: stage.saved,
+            node_hits: node.hits,
+            node_disk_hits: node.disk_hits,
+            node_misses: node.misses,
+            node_evictions: node.evictions,
+            node_disk_writes: node.disk_writes,
+            node_entries: node.map.len(),
         }
     }
 
-    /// Number of resident in-memory entries.
+    /// Number of resident in-memory stage entries.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("stage cache poisoned").map.len()
+        self.lock().tiers[EntryKind::Stage as usize].map.len()
     }
 
     /// `true` when no in-memory entry is resident.
@@ -1165,14 +1026,25 @@ mod tests {
         Duration::from_millis(n)
     }
 
+    fn stage(cost: Duration) -> CacheEntry {
+        CacheEntry::Stage {
+            delta: Box::default(),
+            writes: Vec::new(),
+            cost,
+        }
+    }
+
     #[test]
     fn lookup_miss_then_hit_counts() {
         let cache = StageCache::new(8);
-        assert!(cache.lookup(1).is_none());
-        cache.insert(1, ArtifactDelta::default(), Vec::new(), ms(5));
-        let hit = cache.lookup(1).expect("hit");
-        assert_eq!(hit.delta.slot_count(), 0);
-        assert_eq!(hit.saved, ms(5));
+        assert!(cache.lookup(EntryKind::Stage, 1).is_none());
+        cache.insert(1, stage(ms(5)));
+        let hit = cache.lookup(EntryKind::Stage, 1).expect("hit");
+        let CacheEntry::Stage { delta, cost, .. } = hit.entry.as_ref() else {
+            panic!("a stage lookup returned {:?}", hit.entry.kind());
+        };
+        assert_eq!(delta.slot_count(), 0);
+        assert_eq!(*cost, ms(5));
         assert!(!hit.from_disk);
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
@@ -1185,15 +1057,21 @@ mod tests {
     #[test]
     fn lru_bound_evicts_least_recent() {
         let cache = StageCache::new(2);
-        cache.insert(1, ArtifactDelta::default(), Vec::new(), ms(1));
-        cache.insert(2, ArtifactDelta::default(), Vec::new(), ms(1));
+        cache.insert(1, stage(ms(1)));
+        cache.insert(2, stage(ms(1)));
         // Touch key 1 so key 2 is the LRU victim.
-        assert!(cache.lookup(1).is_some());
-        cache.insert(3, ArtifactDelta::default(), Vec::new(), ms(1));
+        assert!(cache.lookup(EntryKind::Stage, 1).is_some());
+        cache.insert(3, stage(ms(1)));
         assert_eq!(cache.len(), 2);
-        assert!(cache.lookup(1).is_some(), "recently used entry survives");
-        assert!(cache.lookup(2).is_none(), "LRU entry evicted");
-        assert!(cache.lookup(3).is_some());
+        assert!(
+            cache.lookup(EntryKind::Stage, 1).is_some(),
+            "recently used entry survives"
+        );
+        assert!(
+            cache.lookup(EntryKind::Stage, 2).is_none(),
+            "LRU entry evicted"
+        );
+        assert!(cache.lookup(EntryKind::Stage, 3).is_some());
         assert_eq!(cache.stats().evictions, 1);
     }
 
@@ -1201,16 +1079,67 @@ mod tests {
     fn clones_share_one_store() {
         let cache = StageCache::new(4);
         let clone = cache.clone();
-        clone.insert(9, ArtifactDelta::default(), Vec::new(), ms(2));
-        assert!(cache.lookup(9).is_some());
+        clone.insert(9, stage(ms(2)));
+        assert!(cache.lookup(EntryKind::Stage, 9).is_some());
         assert_eq!(cache.stats().hits, clone.stats().hits);
+    }
+
+    #[test]
+    fn kinds_share_the_key_space_but_never_answer_for_each_other() {
+        let node = || CacheEntry::Node(NodeArtifact::Vhdl("e".to_string()));
+        // Memory tier, both directions: the entry under 7 is a node, the
+        // one under 8 a stage; asking for the other kind misses and
+        // leaves the entry resident.
+        let cache = StageCache::new(4);
+        cache.insert(7, node());
+        cache.insert(8, stage(ms(1)));
+        assert!(
+            cache.lookup(EntryKind::Stage, 7).is_none(),
+            "a node entry is a miss for a stage lookup"
+        );
+        assert!(
+            cache.lookup(EntryKind::Node, 8).is_none(),
+            "a stage entry is a miss for a node lookup"
+        );
+        let hit = cache.lookup(EntryKind::Node, 7).expect("node hit");
+        assert!(matches!(hit.entry.as_ref(), CacheEntry::Node(_)));
+        let hit = cache.lookup(EntryKind::Stage, 8).expect("stage hit");
+        assert!(matches!(hit.entry.as_ref(), CacheEntry::Stage { .. }));
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses), (1, 1));
+        assert_eq!((stats.node_hits, stats.node_misses), (1, 1));
+        assert_eq!((stats.entries, stats.node_entries), (1, 1));
+        assert_eq!((stats.evictions, stats.node_evictions), (0, 0));
+
+        // On disk the two kinds share one file per key: a lookup of the
+        // other kind misses there, evicts nothing and leaves the file for
+        // a later lookup of its own kind.
+        let dir = std::env::temp_dir().join(format!("cool-cache-kinds-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let writer = StageCache::persistent(4, &dir).unwrap();
+        writer.insert(7, node());
+        writer.insert(8, stage(ms(1)));
+        let reader = StageCache::persistent(4, &dir).unwrap();
+        assert!(reader.lookup(EntryKind::Stage, 7).is_none());
+        assert!(reader.lookup(EntryKind::Node, 8).is_none());
+        let stats = reader.stats();
+        assert_eq!((stats.misses, stats.node_misses), (1, 1));
+        assert_eq!(stats.disk_evictions, 0);
+        let hit = reader.lookup(EntryKind::Node, 7).expect("node disk hit");
+        assert!(hit.from_disk);
+        let hit = reader.lookup(EntryKind::Stage, 8).expect("stage disk hit");
+        assert!(hit.from_disk);
+        let stats = reader.stats();
+        assert_eq!((stats.disk_hits, stats.node_disk_hits), (1, 1));
+        assert_eq!(stats.disk_evictions, 0);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn summary_mentions_counters() {
         let cache = StageCache::new(4);
-        cache.insert(1, ArtifactDelta::default(), Vec::new(), ms(1));
-        let _ = cache.lookup(1);
+        cache.insert(1, stage(ms(1)));
+        let _ = cache.lookup(EntryKind::Stage, 1);
         let s = cache.stats().summary();
         assert!(s.contains("hit"), "{s}");
         assert!(s.contains("entries"), "{s}");

@@ -1,25 +1,25 @@
-//! The persistent tier of the stage cache: one file per cached stage
-//! execution in a `.cool-cache/` directory.
+//! The persistent tier of the stage cache: one file per
+//! [`CacheEntry`] in a `.cool-cache/` directory.
 //!
 //! # Layout
 //!
-//! Every entry lives at `<dir>/<key>.cce` where `<key>` is the stage's
+//! Every entry lives at `<dir>/<key>.cce` where `<key>` is the entry's
 //! 128-bit content key in lower-case hex (32 characters). The file is:
 //!
 //! ```text
 //! offset  size  field
 //! 0       8     magic  b"COOLCCH\0"
-//! 8       4     format version (u32 LE, currently 2)
+//! 8       4     format version (u32 LE, currently 4)
 //! 12      16    slot-layout digest (u128 LE): FNV-1a 128 over the
 //!               ArtifactSlot names in index order, so a reordered or
 //!               renamed slot set reads as a mismatch even without a
 //!               manual version bump
 //! 28      8     payload length in bytes (u64 LE)
-//! 36      n     payload (cool_ir::codec encoding, see below)
+//! 36      n     payload: the CacheEntry's cool_ir::codec encoding
 //! 36+n    16    FNV-1a 128 checksum of the payload (u128 LE)
 //! ```
 //!
-//! The payload starts with a one-byte **entry kind**:
+//! The payload starts with a one-byte **entry kind** ([`EntryKind`]):
 //!
 //! * kind `0` — a stage execution: `(cost_nanos: u64, writes:
 //!   Vec<(ArtifactSlot, u128)>, delta: ArtifactDelta)` with the
@@ -31,12 +31,11 @@
 //!   one HLS design, VHDL unit or STG fragment, cached one level below
 //!   stages so a spec edit only recomputes the dirty nodes.
 //!
-//! Stage and node entries share the directory and file format but live
-//! in disjoint key namespaces (DAG stage keys vs `cool-node-key/…`
-//! digests), so a kind can never legitimately appear under the other
-//! accessor's key; if it does ([`DiskStore::load`] /
-//! [`DiskStore::load_node`] finding the other kind) the read degrades
-//! to a miss and the entry is left alone.
+//! Stage and node entries share the directory, the file format and one
+//! key space: their keys come from disjoint namespaces (DAG stage keys
+//! vs `cool-node-key/…` digests). [`DiskStore::load`] returns whichever
+//! kind the file holds; the [`crate::StageCache`] treats a kind other
+//! than the one it asked for as a miss and leaves the entry alone.
 //!
 //! # Robustness
 //!
@@ -74,12 +73,11 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
 
-use cool_ir::codec::{from_bytes, Encoder};
+use cool_ir::codec::{from_bytes, to_bytes};
 use cool_ir::ContentHasher;
 
-use crate::cache::{ArtifactDelta, ArtifactSlot, NodeArtifact, StageKey};
+use crate::cache::{ArtifactSlot, CacheEntry, EntryKind, StageKey};
 
 /// Entry file magic.
 const MAGIC: [u8; 8] = *b"COOLCCH\0";
@@ -97,10 +95,6 @@ const MAGIC: [u8; 8] = *b"COOLCCH\0";
 /// v4: the payload gained a leading entry-kind byte, and node-level
 /// entries ([`crate::cache::NodeArtifact`]) joined the format.
 pub const FORMAT_VERSION: u32 = 4;
-/// Entry-kind byte of a stage execution.
-const KIND_STAGE: u8 = 0;
-/// Entry-kind byte of a per-node artifact.
-const KIND_NODE: u8 = 1;
 /// Entry file extension.
 const EXT: &str = "cce";
 /// Fixed header size: magic + version + layout digest + payload length.
@@ -126,32 +120,12 @@ const HINT_SYNC_INTERVAL: u64 = 16;
 /// What [`DiskStore::load`] found for a key.
 #[derive(Debug)]
 pub enum Load {
-    /// A valid entry.
-    Hit {
-        /// The artifacts to restore (boxed: a delta is large next to the
-        /// other variants).
-        delta: Box<ArtifactDelta>,
-        /// Digests of the slots the delta fills.
-        writes: Vec<(ArtifactSlot, u128)>,
-        /// Wall-clock the original execution took.
-        cost: Duration,
-    },
+    /// A valid entry, of either kind.
+    Hit(CacheEntry),
     /// No entry for this key.
     Miss,
     /// An entry existed but failed validation (corrupt, truncated, or a
     /// different format version) and was evicted from the directory.
-    Evicted,
-}
-
-/// What [`DiskStore::load_node`] found for a node key.
-#[derive(Debug)]
-pub enum NodeLoad {
-    /// A valid node-level entry.
-    Hit(NodeArtifact),
-    /// No entry for this key (or a stage entry, which a node accessor
-    /// treats as a miss without evicting — see the module docs).
-    Miss,
-    /// An entry existed but failed validation and was evicted.
     Evicted,
 }
 
@@ -174,7 +148,7 @@ pub struct KindCounts {
 /// directory would otherwise exhibit.
 pub const DEFAULT_MAX_BYTES: u64 = 512 * 1024 * 1024;
 
-/// A directory of serialized stage executions, bounded to a byte-size
+/// A directory of serialized cache entries, bounded to a byte-size
 /// cap: whenever the entry files exceed `max_bytes` (checked when the
 /// store opens and after every insert), the least-recently-*used*
 /// entries — LRU by file mtime, which [`DiskStore::load`] refreshes on
@@ -347,42 +321,16 @@ impl DiskStore {
         self.dir.join(format!("{key:032x}.{EXT}"))
     }
 
-    /// Serialize one stage execution under `key`. Returns `Ok(false)`
-    /// without touching the filesystem when the entry already exists
-    /// (stage determinism makes rewrites pointless).
+    /// Serialize one entry under `key`. Returns `Ok(false)` without
+    /// touching the filesystem when the entry already exists (stage
+    /// determinism makes rewrites pointless). Writes are atomic: a
+    /// temporary file, then a rename.
     ///
     /// # Errors
     ///
     /// Propagates I/O errors from writing or renaming the entry; callers
     /// may treat them as "disk tier unavailable" and continue.
-    pub fn store(
-        &self,
-        key: StageKey,
-        delta: &ArtifactDelta,
-        writes: &[(ArtifactSlot, u128)],
-        cost: Duration,
-    ) -> io::Result<bool> {
-        let file = encode_entry_with_version(delta, writes, cost, FORMAT_VERSION);
-        self.write_entry(key, &file)
-    }
-
-    /// Serialize one per-node artifact under its (namespaced) node key.
-    /// Returns `Ok(false)` without touching the filesystem when the
-    /// entry already exists.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from writing or renaming the entry; callers
-    /// may treat them as "disk tier unavailable" and continue.
-    pub fn store_node(&self, key: StageKey, artifact: &NodeArtifact) -> io::Result<bool> {
-        let file = encode_node_entry_with_version(artifact, FORMAT_VERSION);
-        self.write_entry(key, &file)
-    }
-
-    /// Atomically (tmp + rename) write an encoded entry file, skipping
-    /// keys that already have one — shared by [`DiskStore::store`] and
-    /// [`DiskStore::store_node`].
-    fn write_entry(&self, key: StageKey, file: &[u8]) -> io::Result<bool> {
+    pub fn store(&self, key: StageKey, entry: &CacheEntry) -> io::Result<bool> {
         let path = self.entry_path(key);
         if path.exists() {
             return Ok(false);
@@ -392,8 +340,9 @@ impl DiskStore {
             std::process::id(),
             TMP_SEQ.fetch_add(1, Ordering::Relaxed)
         ));
+        let file = encode_entry(entry, FORMAT_VERSION);
         let len = file.len() as u64;
-        fs::write(&tmp, file)?;
+        fs::write(&tmp, &file)?;
         match fs::rename(&tmp, &path) {
             Ok(()) => {
                 self.bytes_hint.fetch_add(len, Ordering::Relaxed);
@@ -443,64 +392,14 @@ impl DiskStore {
                 };
             }
         };
-        match split_entry(&bytes) {
-            Some((KIND_STAGE, body)) => match decode_stage_body(body) {
-                Some((delta, writes, cost)) => {
-                    Self::touch(&path);
-                    Load::Hit {
-                        delta: Box::new(delta),
-                        writes,
-                        cost,
-                    }
-                }
-                None => {
-                    let _ = fs::remove_file(&path);
-                    Load::Evicted
-                }
-            },
-            // A valid entry of the other kind: a key-namespace violation
-            // that cannot arise from our own writers. Leave it alone and
-            // miss, rather than evicting someone's valid entry.
-            Some((KIND_NODE, _)) => Load::Miss,
-            _ => {
+        match decode_entry(&bytes) {
+            Some(entry) => {
+                Self::touch(&path);
+                Load::Hit(entry)
+            }
+            None => {
                 let _ = fs::remove_file(&path);
                 Load::Evicted
-            }
-        }
-    }
-
-    /// Read and validate the node-level entry for `key`. Junk degrades
-    /// to a miss (the node is recomputed), never a panic; invalid
-    /// entries are evicted so the recompute can rewrite them.
-    #[must_use]
-    pub fn load_node(&self, key: StageKey) -> NodeLoad {
-        let path = self.entry_path(key);
-        let bytes = match fs::read(&path) {
-            Ok(bytes) => bytes,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return NodeLoad::Miss,
-            Err(_) => {
-                return if fs::remove_file(&path).is_ok() {
-                    NodeLoad::Evicted
-                } else {
-                    NodeLoad::Miss
-                };
-            }
-        };
-        match split_entry(&bytes) {
-            Some((KIND_NODE, body)) => match from_bytes::<NodeArtifact>(body) {
-                Ok(artifact) => {
-                    Self::touch(&path);
-                    NodeLoad::Hit(artifact)
-                }
-                Err(_) => {
-                    let _ = fs::remove_file(&path);
-                    NodeLoad::Evicted
-                }
-            },
-            Some((KIND_STAGE, _)) => NodeLoad::Miss,
-            _ => {
-                let _ = fs::remove_file(&path);
-                NodeLoad::Evicted
             }
         }
     }
@@ -526,12 +425,10 @@ impl DiskStore {
                 counts.invalid += 1;
                 continue;
             };
-            match split_entry(&bytes) {
-                Some((KIND_STAGE, body)) if decode_stage_body(body).is_some() => counts.stage += 1,
-                Some((KIND_NODE, body)) if from_bytes::<NodeArtifact>(body).is_ok() => {
-                    counts.node += 1;
-                }
-                _ => counts.invalid += 1,
+            match decode_entry(&bytes).map(|entry| entry.kind()) {
+                Some(EntryKind::Stage) => counts.stage += 1,
+                Some(EntryKind::Node) => counts.node += 1,
+                None => counts.invalid += 1,
             }
         }
         counts
@@ -609,15 +506,12 @@ fn layout_digest() -> u128 {
     h.finish()
 }
 
-/// The decoded contents of one stage entry's payload body: the artifact
-/// delta, the digests of the slots it fills, and the original
-/// execution's wall-clock cost.
-pub type DecodedEntry = (ArtifactDelta, Vec<(ArtifactSlot, u128)>, Duration);
-
-/// Validate one entry file's envelope — magic, version, layout digest,
-/// length, checksum — and split the payload into `(kind, body)`. `None`
-/// on any malformation.
-fn split_entry(bytes: &[u8]) -> Option<(u8, &[u8])> {
+/// Validate and decode one complete entry file — the exact bytes
+/// [`DiskStore::store`] writes and the remote-cache protocol carries:
+/// magic, version, layout digest, length, checksum, entry kind and body
+/// must all validate. `None` on any malformation.
+#[must_use]
+pub fn decode_entry(bytes: &[u8]) -> Option<CacheEntry> {
     if bytes.len() < HEADER + CHECKSUM || bytes[..8] != MAGIC {
         return None;
     }
@@ -639,85 +533,50 @@ fn split_entry(bytes: &[u8]) -> Option<(u8, &[u8])> {
     if checksum(payload) != stored {
         return None;
     }
-    let (&kind, body) = payload.split_first()?;
-    Some((kind, body))
+    from_bytes(payload).ok()
 }
 
-/// Decode a stage entry's payload body. `None` on any malformation.
-fn decode_stage_body(body: &[u8]) -> Option<DecodedEntry> {
-    let (cost_nanos, writes, delta): (u64, Vec<(ArtifactSlot, u128)>, ArtifactDelta) =
-        from_bytes(body).ok()?;
-    Some((delta, writes, Duration::from_nanos(cost_nanos)))
-}
-
-/// Validate and decode one complete *stage* entry file — the exact bytes
-/// [`DiskStore::store`] writes and the remote-cache protocol carries —
-/// with the same totality as [`DiskStore::load`]: magic, version, layout
-/// digest, length, checksum, entry kind and body must all validate.
-/// `None` on any malformation (including a valid entry of the node
-/// kind).
+/// [`decode_entry`], keeping only stage entries. Kept for the benchmark
+/// harness in `perfbench/`, which is written against this name; the
+/// crates call [`decode_entry`].
 #[must_use]
-pub fn decode_stage_entry(bytes: &[u8]) -> Option<DecodedEntry> {
-    match split_entry(bytes) {
-        Some((KIND_STAGE, body)) => decode_stage_body(body),
-        _ => None,
-    }
+pub fn decode_stage_entry(bytes: &[u8]) -> Option<CacheEntry> {
+    decode_entry(bytes).filter(|entry| entry.kind() == EntryKind::Stage)
 }
 
-/// Validate and decode one complete *node* entry file, with the same
-/// totality as [`DiskStore::load_node`]. `None` on any malformation
-/// (including a valid entry of the stage kind).
+/// Encode one complete entry file. [`DiskStore::store`] writes these with
+/// [`FORMAT_VERSION`]; tests pass other versions to fabricate
+/// version-bumped files in the otherwise-identical layout.
 #[must_use]
-pub fn decode_node_entry(bytes: &[u8]) -> Option<NodeArtifact> {
-    match split_entry(bytes) {
-        Some((KIND_NODE, body)) => from_bytes::<NodeArtifact>(body).ok(),
-        _ => None,
-    }
+pub fn encode_entry(entry: &CacheEntry, version: u32) -> Vec<u8> {
+    wrap_payload(&to_bytes(entry), version)
 }
 
-/// Wrap a kind-tagged payload body into a complete entry file.
-fn encode_file(kind: u8, body: &[u8], version: u32) -> Vec<u8> {
-    let payload_len = body.len() + 1;
-    let mut file = Vec::with_capacity(HEADER + payload_len + CHECKSUM);
+/// Wrap an encoded payload in the entry-file header and checksum.
+fn wrap_payload(payload: &[u8], version: u32) -> Vec<u8> {
+    let mut file = Vec::with_capacity(HEADER + payload.len() + CHECKSUM);
     file.extend_from_slice(&MAGIC);
     file.extend_from_slice(&version.to_le_bytes());
     file.extend_from_slice(&layout_digest().to_le_bytes());
-    file.extend_from_slice(&(payload_len as u64).to_le_bytes());
-    file.push(kind);
-    file.extend_from_slice(body);
-    let payload_start = file.len() - payload_len;
-    let sum = checksum(&file[payload_start..]);
-    file.extend_from_slice(&sum.to_le_bytes());
+    file.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    file.extend_from_slice(payload);
+    file.extend_from_slice(&checksum(payload).to_le_bytes());
     file
-}
-
-/// Encode one complete stage entry file. [`DiskStore::store`] writes
-/// these with [`FORMAT_VERSION`]; tests pass other versions to fabricate
-/// version-bumped files in the otherwise-identical layout.
-#[must_use]
-pub fn encode_entry_with_version(
-    delta: &ArtifactDelta,
-    writes: &[(ArtifactSlot, u128)],
-    cost: Duration,
-    version: u32,
-) -> Vec<u8> {
-    let mut body = Encoder::new();
-    body.put_u64(u64::try_from(cost.as_nanos()).unwrap_or(u64::MAX));
-    body.put(&writes.to_vec());
-    body.put(delta);
-    encode_file(KIND_STAGE, &body.into_bytes(), version)
-}
-
-/// Encode one complete node-level entry file; the test battery uses
-/// non-current `version`s to fabricate stale node entries.
-#[must_use]
-pub fn encode_node_entry_with_version(artifact: &NodeArtifact, version: u32) -> Vec<u8> {
-    encode_file(KIND_NODE, &cool_ir::codec::to_bytes(artifact), version)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::NodeArtifact;
+    use std::time::Duration;
+
+    fn stage(writes: &[(ArtifactSlot, u128)], cost: Duration) -> CacheEntry {
+        CacheEntry::Stage {
+            delta: Box::default(),
+            writes: writes.to_vec(),
+            cost,
+        }
+    }
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -729,27 +588,62 @@ mod tests {
         dir
     }
 
+    /// The two hand-built entries `golden_entry_bytes_are_pinned` pins, as
+    /// the production encoder writes them: a stage entry with a fixed
+    /// cost (flow-produced entries embed wall-clock and cannot be
+    /// pinned) and a VHDL node entry.
+    fn golden_entries() -> [Vec<u8>; 2] {
+        let writes = vec![
+            (ArtifactSlot::Cost, 0x0123_4567_89ab_cdef_u128),
+            (ArtifactSlot::Vhdl, u128::MAX - 1),
+        ];
+        let vhdl = NodeArtifact::Vhdl("entity golden is end;".to_string());
+        [
+            encode_entry(
+                &stage(&writes, Duration::from_nanos(1_234_567)),
+                FORMAT_VERSION,
+            ),
+            encode_entry(&CacheEntry::Node(vhdl), FORMAT_VERSION),
+        ]
+    }
+
+    #[test]
+    fn golden_entry_bytes_are_pinned() {
+        // Any change here means every `.cce` file on disk or in flight
+        // reads differently: bump FORMAT_VERSION instead of re-pinning.
+        assert_eq!(FORMAT_VERSION, 4);
+        let [stage, node] = golden_entries();
+        let pin = |bytes: &[u8]| (bytes.len(), checksum(bytes));
+        assert_eq!(
+            pin(&stage),
+            (118, 0xcbee_9813_e53b_132c_7e70_2400_b593_8232)
+        );
+        assert_eq!(pin(&node), (83, 0xa47c_a46f_f11a_c5d6_6b77_9cb9_3234_4c5a));
+        // Node payload: kind byte 1, `NodeArtifact::Vhdl` tag 1, then the
+        // length-prefixed text.
+        let mut payload = vec![1, 1];
+        payload.extend_from_slice(&21u64.to_le_bytes());
+        payload.extend_from_slice(b"entity golden is end;");
+        assert_eq!(&node[HEADER..node.len() - CHECKSUM], &payload[..]);
+    }
+
     #[test]
     fn store_load_roundtrip_and_skip_existing() {
         let dir = temp_dir("roundtrip");
         let store = DiskStore::open(&dir).unwrap();
         let writes = vec![(ArtifactSlot::Cost, 42u128)];
         let cost = Duration::from_micros(123);
-        assert!(store
-            .store(7, &ArtifactDelta::default(), &writes, cost)
-            .unwrap());
+        assert!(store.store(7, &stage(&writes, cost)).unwrap());
         assert!(
-            !store
-                .store(7, &ArtifactDelta::default(), &writes, cost)
-                .unwrap(),
+            !store.store(7, &stage(&writes, cost)).unwrap(),
             "existing entries are not rewritten"
         );
         match store.load(7) {
-            Load::Hit {
+            Load::Hit(CacheEntry::Stage {
                 delta,
                 writes: w,
                 cost: c,
-            } => {
+            }) => {
                 assert_eq!(delta.slot_count(), 0);
                 assert_eq!(w, writes);
                 assert_eq!(c, cost);
@@ -767,9 +661,7 @@ mod tests {
         let dir = temp_dir("corrupt");
         let store = DiskStore::open(&dir).unwrap();
         let cost = Duration::from_micros(5);
-        store
-            .store(1, &ArtifactDelta::default(), &[], cost)
-            .unwrap();
+        store.store(1, &stage(&[], cost)).unwrap();
         // Bit-flip inside the payload.
         let path = store.entry_path(1);
         let mut bytes = fs::read(&path).unwrap();
@@ -780,16 +672,13 @@ mod tests {
         assert!(matches!(store.load(1), Load::Miss), "eviction removed it");
 
         // Version bump.
-        let future =
-            encode_entry_with_version(&ArtifactDelta::default(), &[], cost, FORMAT_VERSION + 1);
+        let future = encode_entry(&stage(&[], cost), FORMAT_VERSION + 1);
         fs::write(store.entry_path(2), &future).unwrap();
         assert!(matches!(store.load(2), Load::Evicted));
 
         // Layout mismatch: a flipped byte in the header's layout digest
         // must read as a different slot layout and evict.
-        store
-            .store(5, &ArtifactDelta::default(), &[], cost)
-            .unwrap();
+        store.store(5, &stage(&[], cost)).unwrap();
         let path = store.entry_path(5);
         let mut bytes = fs::read(&path).unwrap();
         bytes[14] ^= 0x01;
@@ -797,9 +686,7 @@ mod tests {
         assert!(matches!(store.load(5), Load::Evicted));
 
         // Truncation.
-        store
-            .store(3, &ArtifactDelta::default(), &[], cost)
-            .unwrap();
+        store.store(3, &stage(&[], cost)).unwrap();
         let path = store.entry_path(3);
         let bytes = fs::read(&path).unwrap();
         fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
@@ -818,8 +705,7 @@ mod tests {
         let seed = DiskStore::open_with_cap(&dir, 0).unwrap();
         let writes = vec![(ArtifactSlot::Cost, 7u128); 8]; // pad the payload
         for key in 1u128..=4 {
-            seed.store(key, &ArtifactDelta::default(), &writes, Duration::ZERO)
-                .unwrap();
+            seed.store(key, &stage(&writes, Duration::ZERO)).unwrap();
             // Distinct mtimes even on coarse-timestamp filesystems.
             std::thread::sleep(Duration::from_millis(15));
         }
@@ -835,20 +721,18 @@ mod tests {
             matches!(capped.load(2), Load::Miss),
             "second-oldest evicted"
         );
-        assert!(matches!(capped.load(3), Load::Hit { .. }));
-        assert!(matches!(capped.load(4), Load::Hit { .. }));
+        assert!(matches!(capped.load(3), Load::Hit(_)));
+        assert!(matches!(capped.load(4), Load::Hit(_)));
 
         // Inserting over the cap evicts the oldest survivor, never the
         // entry just written.
         std::thread::sleep(Duration::from_millis(15));
-        capped
-            .store(5, &ArtifactDelta::default(), &writes, Duration::ZERO)
-            .unwrap();
+        capped.store(5, &stage(&writes, Duration::ZERO)).unwrap();
         assert_eq!(capped.size_evictions(), 3);
         assert!(matches!(capped.load(3), Load::Miss), "LRU victim");
-        assert!(matches!(capped.load(4), Load::Hit { .. }));
+        assert!(matches!(capped.load(4), Load::Hit(_)));
         assert!(
-            matches!(capped.load(5), Load::Hit { .. }),
+            matches!(capped.load(5), Load::Hit(_)),
             "fresh insert survives"
         );
         assert!(capped.total_bytes() <= entry_bytes * 2);
@@ -865,9 +749,7 @@ mod tests {
         let dir = temp_dir("shared-cap");
         let writes = vec![(ArtifactSlot::Cost, 7u128); 8]; // pad the payload
         let capped = DiskStore::open_with_cap(&dir, 1).unwrap();
-        capped
-            .store(1, &ArtifactDelta::default(), &writes, Duration::ZERO)
-            .unwrap();
+        capped.store(1, &stage(&writes, Duration::ZERO)).unwrap();
         let entry_bytes = fs::metadata(capped.entry_path(1)).unwrap().len();
 
         // A second, unbounded handle floods the directory far past the
@@ -876,9 +758,7 @@ mod tests {
         let capped = DiskStore::open_with_cap(&dir, entry_bytes * 4).unwrap();
         let other = DiskStore::open_with_cap(&dir, 0).unwrap();
         for key in 100u128..140 {
-            other
-                .store(key, &ArtifactDelta::default(), &writes, Duration::ZERO)
-                .unwrap();
+            other.store(key, &stage(&writes, Duration::ZERO)).unwrap();
         }
         assert!(other.total_bytes() > entry_bytes * 10);
         std::thread::sleep(Duration::from_millis(15));
@@ -887,9 +767,7 @@ mod tests {
         // interval: the capped handle must notice the foreign bytes and
         // trim the shared directory back under its budget.
         for key in 1u128..=HINT_SYNC_INTERVAL as u128 {
-            capped
-                .store(key, &ArtifactDelta::default(), &writes, Duration::ZERO)
-                .unwrap();
+            capped.store(key, &stage(&writes, Duration::ZERO)).unwrap();
         }
         assert!(
             capped.total_bytes() <= entry_bytes * 4,
@@ -900,7 +778,7 @@ mod tests {
         );
         assert!(capped.size_evictions() > 0, "the trim actually ran");
         assert!(
-            matches!(capped.load(HINT_SYNC_INTERVAL as u128), Load::Hit { .. }),
+            matches!(capped.load(HINT_SYNC_INTERVAL as u128), Load::Hit(_)),
             "the freshest insert survives the trim"
         );
         let _ = fs::remove_dir_all(&dir);
@@ -913,16 +791,12 @@ mod tests {
         // evicts everything else instead.
         let dir = temp_dir("tiny-cap");
         let store = DiskStore::open_with_cap(&dir, 1).unwrap();
-        store
-            .store(1, &ArtifactDelta::default(), &[], Duration::ZERO)
-            .unwrap();
-        assert!(matches!(store.load(1), Load::Hit { .. }));
+        store.store(1, &stage(&[], Duration::ZERO)).unwrap();
+        assert!(matches!(store.load(1), Load::Hit(_)));
         std::thread::sleep(Duration::from_millis(15));
-        store
-            .store(2, &ArtifactDelta::default(), &[], Duration::ZERO)
-            .unwrap();
+        store.store(2, &stage(&[], Duration::ZERO)).unwrap();
         assert!(matches!(store.load(1), Load::Miss));
-        assert!(matches!(store.load(2), Load::Hit { .. }));
+        assert!(matches!(store.load(2), Load::Hit(_)));
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -944,25 +818,21 @@ mod tests {
         let dir = temp_dir("node-roundtrip");
         let store = DiskStore::open(&dir).unwrap();
         let artifact = sample_artifact();
-        assert!(store.store_node(11, &artifact).unwrap());
-        assert!(!store.store_node(11, &artifact).unwrap(), "no rewrite");
-        match store.load_node(11) {
-            NodeLoad::Hit(back) => assert_eq!(back, artifact),
+        let entry = CacheEntry::Node(artifact.clone());
+        assert!(store.store(11, &entry).unwrap());
+        assert!(!store.store(11, &entry).unwrap(), "no rewrite");
+        match store.load(11) {
+            Load::Hit(CacheEntry::Node(back)) => assert_eq!(back, artifact),
             other => panic!("expected node hit, got {other:?}"),
         }
-        assert!(matches!(store.load_node(12), NodeLoad::Miss));
-        // The stage accessor must treat the (valid) node entry as a
-        // miss without evicting it, and vice versa.
-        assert!(matches!(store.load(11), Load::Miss));
-        match store.load_node(11) {
-            NodeLoad::Hit(_) => {}
-            other => panic!("stage accessor must not evict node entries: {other:?}"),
-        }
-        store
-            .store(13, &ArtifactDelta::default(), &[], Duration::ZERO)
-            .unwrap();
-        assert!(matches!(store.load_node(13), NodeLoad::Miss));
-        assert!(matches!(store.load(13), Load::Hit { .. }));
+        assert!(matches!(store.load(12), Load::Miss));
+        // Both kinds share the directory; each reads back as its own kind.
+        store.store(13, &stage(&[], Duration::ZERO)).unwrap();
+        assert!(matches!(
+            store.load(13),
+            Load::Hit(CacheEntry::Stage { .. })
+        ));
+        assert!(matches!(store.load(11), Load::Hit(CacheEntry::Node(_))));
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -971,24 +841,24 @@ mod tests {
         let dir = temp_dir("node-junk");
         let store = DiskStore::open(&dir).unwrap();
         // Truncated node entry.
-        let good = encode_node_entry_with_version(&sample_artifact(), FORMAT_VERSION);
+        let good = encode_entry(&CacheEntry::Node(sample_artifact()), FORMAT_VERSION);
         fs::write(store.entry_path(21), &good[..good.len() / 2]).unwrap();
-        assert!(matches!(store.load_node(21), NodeLoad::Evicted));
-        assert!(matches!(store.load_node(21), NodeLoad::Miss));
+        assert!(matches!(store.load(21), Load::Evicted));
+        assert!(matches!(store.load(21), Load::Miss));
         // Stale-version node entry.
-        let old = encode_node_entry_with_version(&sample_artifact(), FORMAT_VERSION - 1);
+        let old = encode_entry(&CacheEntry::Node(sample_artifact()), FORMAT_VERSION - 1);
         fs::write(store.entry_path(22), &old).unwrap();
-        assert!(matches!(store.load_node(22), NodeLoad::Evicted));
+        assert!(matches!(store.load(22), Load::Evicted));
         // Bit flip inside the body.
-        let mut bytes = encode_node_entry_with_version(&sample_artifact(), FORMAT_VERSION);
+        let mut bytes = encode_entry(&CacheEntry::Node(sample_artifact()), FORMAT_VERSION);
         let mid = HEADER + 3;
         bytes[mid] ^= 0x20;
         fs::write(store.entry_path(23), &bytes).unwrap();
-        assert!(matches!(store.load_node(23), NodeLoad::Evicted));
+        assert!(matches!(store.load(23), Load::Evicted));
         // Unknown entry kind.
-        let alien = encode_file(9, b"payload from the future", FORMAT_VERSION);
+        let alien = wrap_payload(b"\x09payload from the future", FORMAT_VERSION);
         fs::write(store.entry_path(24), &alien).unwrap();
-        assert!(matches!(store.load_node(24), NodeLoad::Evicted));
+        assert!(matches!(store.load(24), Load::Evicted));
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -996,11 +866,13 @@ mod tests {
     fn kind_counts_census_is_read_only() {
         let dir = temp_dir("kind-counts");
         let store = DiskStore::open(&dir).unwrap();
+        store.store(1, &stage(&[], Duration::ZERO)).unwrap();
         store
-            .store(1, &ArtifactDelta::default(), &[], Duration::ZERO)
+            .store(2, &CacheEntry::Node(sample_artifact()))
             .unwrap();
-        store.store_node(2, &sample_artifact()).unwrap();
-        store.store_node(3, &sample_artifact()).unwrap();
+        store
+            .store(3, &CacheEntry::Node(sample_artifact()))
+            .unwrap();
         fs::write(store.entry_path(4), b"garbage").unwrap();
         let counts = store.kind_counts();
         assert_eq!(
@@ -1022,12 +894,8 @@ mod tests {
     fn clear_removes_only_entries() {
         let dir = temp_dir("clear");
         let store = DiskStore::open(&dir).unwrap();
-        store
-            .store(1, &ArtifactDelta::default(), &[], Duration::ZERO)
-            .unwrap();
-        store
-            .store(2, &ArtifactDelta::default(), &[], Duration::ZERO)
-            .unwrap();
+        store.store(1, &stage(&[], Duration::ZERO)).unwrap();
+        store.store(2, &stage(&[], Duration::ZERO)).unwrap();
         fs::write(dir.join("README.txt"), "not an entry").unwrap();
         fs::write(dir.join(".deadbeef.1234.0.tmp"), "crashed writer leftover").unwrap();
         assert_eq!(store.clear().unwrap(), 2);

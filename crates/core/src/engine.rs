@@ -32,8 +32,8 @@ use cool_rtl::place::Placement;
 use cool_rtl::SystemController;
 
 use crate::cache::{
-    self, ArtifactDelta, ArtifactFlags, ArtifactSlot, NodeArtifact, SlotDigests, StageCache,
-    StageKey,
+    self, ArtifactDelta, ArtifactFlags, ArtifactSlot, CacheEntry, EntryKind, NodeArtifact,
+    SlotDigests, StageCache, StageKey,
 };
 use crate::stage::{FlowContext, Stage};
 use crate::timing::{CacheOutcome, FlowTrace, NodeDelta};
@@ -269,20 +269,28 @@ impl Engine {
                 continue;
             };
             let t0 = Instant::now();
-            if let Some(hit) = cache.lookup(key) {
-                hit.delta.apply(cx);
-                for &(slot, d) in hit.writes.iter() {
-                    digests[slot.index()] = Some(d);
+            if let Some(hit) = cache.lookup(EntryKind::Stage, key) {
+                if let CacheEntry::Stage {
+                    delta,
+                    writes,
+                    cost: saved,
+                } = hit.entry.as_ref()
+                {
+                    delta.apply(cx);
+                    for &(slot, d) in writes {
+                        digests[slot.index()] = Some(d);
+                    }
+                    let saved = *saved;
+                    let outcome = if hit.from_remote {
+                        CacheOutcome::RemoteHit { saved }
+                    } else if hit.from_disk {
+                        CacheOutcome::DiskHit { saved }
+                    } else {
+                        CacheOutcome::Hit { saved }
+                    };
+                    trace.push_outcome(stage.name(), t0.elapsed(), outcome);
+                    continue;
                 }
-                let outcome = if hit.from_remote {
-                    CacheOutcome::RemoteHit { saved: hit.saved }
-                } else if hit.from_disk {
-                    CacheOutcome::DiskHit { saved: hit.saved }
-                } else {
-                    CacheOutcome::Hit { saved: hit.saved }
-                };
-                trace.push_outcome(stage.name(), t0.elapsed(), outcome);
-                continue;
             }
             let before = ArtifactFlags::of(cx);
             let t0 = Instant::now();
@@ -341,7 +349,14 @@ impl Engine {
             // re-running the (free) pass-through is strictly cheaper
             // than restoring an empty entry.
             if undeclared.is_none() && !truncated_partition && !seeded {
-                cache.insert(key, ArtifactDelta::capture(cx, before), writes, elapsed);
+                cache.insert(
+                    key,
+                    CacheEntry::Stage {
+                        delta: Box::new(ArtifactDelta::capture(cx, before)),
+                        writes,
+                        cost: elapsed,
+                    },
+                );
             }
             let outcome = if seeded {
                 CacheOutcome::Seeded
@@ -639,8 +654,8 @@ impl Stage for StgStage {
                 let mut delta = NodeDelta::default();
                 let mut provider = |n: cool_ir::NodeId, res: Resource| {
                     let key = stg_node_key(n, res);
-                    if let Some(hit) = cache.lookup_node(key) {
-                        if let NodeArtifact::StgFragment(f) = hit.artifact.as_ref() {
+                    if let Some(hit) = cache.lookup(EntryKind::Node, key) {
+                        if let CacheEntry::Node(NodeArtifact::StgFragment(f)) = hit.entry.as_ref() {
                             // The canonical-shape gate turns a corrupt or
                             // stale fragment into a recompute instead of a
                             // malformed STG.
@@ -654,7 +669,7 @@ impl Stage for StgStage {
                         }
                     }
                     let f = cool_stg::node_fragment(n, res);
-                    cache.insert_node(key, NodeArtifact::StgFragment(f.clone()));
+                    cache.insert(key, CacheEntry::Node(NodeArtifact::StgFragment(f.clone())));
                     delta.computed += 1;
                     if let Ok(node) = graph.node(n) {
                         delta.computed_names.push(node.name().to_string());
@@ -738,9 +753,9 @@ struct HlsNodeTier<'c> {
 
 impl cool_hls::NodeCache for HlsNodeTier<'_> {
     fn lookup(&self, key: u128) -> Option<(cool_hls::HlsDesign, cool_hls::CacheSource)> {
-        let hit = self.cache.lookup_node(key)?;
-        match hit.artifact.as_ref() {
-            NodeArtifact::Hls(d) => {
+        let hit = self.cache.lookup(EntryKind::Node, key)?;
+        match hit.entry.as_ref() {
+            CacheEntry::Node(NodeArtifact::Hls(d)) => {
                 let source = if hit.from_disk || hit.from_remote {
                     cool_hls::CacheSource::Disk
                 } else {
@@ -756,7 +771,7 @@ impl cool_hls::NodeCache for HlsNodeTier<'_> {
 
     fn insert(&self, key: u128, design: &cool_hls::HlsDesign) {
         self.cache
-            .insert_node(key, NodeArtifact::Hls(design.clone()));
+            .insert(key, CacheEntry::Node(NodeArtifact::Hls(design.clone())));
     }
 }
 
@@ -893,15 +908,14 @@ impl Stage for RtlStage {
             let unit = match (&node_cache, &mut rtl_delta) {
                 (Some(cache), Some(delta)) => {
                     let key = rtl_node_key(node.name(), node.behavior(), latency);
-                    let cached =
-                        cache
-                            .lookup_node(key)
-                            .and_then(|hit| match hit.artifact.as_ref() {
-                                NodeArtifact::Vhdl(src) => {
-                                    Some((src.clone(), hit.from_disk || hit.from_remote))
-                                }
-                                _ => None,
-                            });
+                    let cached = cache.lookup(EntryKind::Node, key).and_then(|hit| {
+                        match hit.entry.as_ref() {
+                            CacheEntry::Node(NodeArtifact::Vhdl(src)) => {
+                                Some((src.clone(), hit.from_disk || hit.from_remote))
+                            }
+                            _ => None,
+                        }
+                    });
                     match cached {
                         Some((src, from_disk)) => {
                             delta.reused += 1;
@@ -912,7 +926,7 @@ impl Stage for RtlStage {
                         }
                         None => {
                             let src = cool_rtl::vhdl::emit_hw_block(graph, n, latency);
-                            cache.insert_node(key, NodeArtifact::Vhdl(src.clone()));
+                            cache.insert(key, CacheEntry::Node(NodeArtifact::Vhdl(src.clone())));
                             delta.computed += 1;
                             delta.computed_names.push(node.name().to_string());
                             src

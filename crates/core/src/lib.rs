@@ -111,8 +111,10 @@ pub mod table;
 pub mod timing;
 
 pub use artifacts::FlowArtifacts;
-pub use cache::{ArtifactSlot, CacheStats, NodeArtifact, NodeHit, StageCache};
-pub use disk::{DiskStore, KindCounts, NodeLoad};
+pub use cache::{
+    ArtifactSlot, CacheEntry, CacheHit, CacheStats, EntryKind, NodeArtifact, StageCache,
+};
+pub use disk::{DiskStore, KindCounts};
 pub use engine::Engine;
 pub use error::FlowError;
 pub use remote::{RemoteCounters, RemoteStore};

@@ -21,6 +21,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
+use crate::cache::EntryKind;
 use crate::server::{Client, ServeError};
 
 /// Counters a [`RemoteStore`] accumulates, merged into
@@ -89,34 +90,30 @@ impl RemoteStore {
         &self.addr
     }
 
-    /// Fetch a stage entry's raw bytes. `None` on miss *or* on any
-    /// network failure (the flow must not distinguish them).
+    /// Fetch the raw bytes of the `kind` entry under `key`. `None` on
+    /// miss *or* on any network failure (the flow must not distinguish
+    /// them).
     #[must_use]
-    pub fn get_stage(&self, key: u128) -> Option<Vec<u8>> {
-        self.get(key, "get", |client, key| client.cache_get_stage(key))
+    pub fn get(&self, kind: EntryKind, key: u128) -> Option<Vec<u8>> {
+        let found = self.roundtrip("get", |client| client.cache_get(kind, key))?;
+        let counter = if found.is_some() {
+            &self.hits
+        } else {
+            &self.misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        found
     }
 
-    /// Fetch a node-tier entry's raw bytes (same degradation contract as
-    /// [`RemoteStore::get_stage`]).
-    #[must_use]
-    pub fn get_node(&self, key: u128) -> Option<Vec<u8>> {
-        self.get(key, "node get", |client, key| client.cache_get_node(key))
-    }
-
-    /// Offer a stage entry to the daemon. Best-effort: a failure is
-    /// counted and warned about, never surfaced.
-    pub fn put_stage(&self, key: u128, bytes: Vec<u8>) {
-        self.put(key, bytes, "put", |client, key, bytes| {
-            client.cache_put_stage(key, bytes)
-        });
-    }
-
-    /// Offer a node-tier entry to the daemon (same contract as
-    /// [`RemoteStore::put_stage`]).
-    pub fn put_node(&self, key: u128, bytes: Vec<u8>) {
-        self.put(key, bytes, "node put", |client, key, bytes| {
-            client.cache_put_node(key, bytes)
-        });
+    /// Offer one entry's raw bytes to the daemon. Best-effort: a failure
+    /// is counted and warned about, never surfaced.
+    pub fn put(&self, key: u128, bytes: Vec<u8>) {
+        if self
+            .roundtrip("put", |client| client.cache_put(key, bytes))
+            .is_some()
+        {
+            self.puts.fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     /// Snapshot of the accumulated counters.
@@ -128,40 +125,6 @@ impl RemoteStore {
             puts: self.puts.load(Ordering::Relaxed),
             errors: self.errors.load(Ordering::Relaxed),
             roundtrip: Duration::from_nanos(self.roundtrip_nanos.load(Ordering::Relaxed)),
-        }
-    }
-
-    fn get(
-        &self,
-        key: u128,
-        op: &str,
-        call: impl Fn(&mut Client, u128) -> Result<Option<Vec<u8>>, ServeError>,
-    ) -> Option<Vec<u8>> {
-        match self.roundtrip(op, |client| call(client, key)) {
-            Some(Some(bytes)) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(bytes)
-            }
-            Some(None) => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-            None => None,
-        }
-    }
-
-    fn put(
-        &self,
-        key: u128,
-        bytes: Vec<u8>,
-        op: &str,
-        call: impl Fn(&mut Client, u128, Vec<u8>) -> Result<bool, ServeError>,
-    ) {
-        if self
-            .roundtrip(op, |client| call(client, key, bytes))
-            .is_some()
-        {
-            self.puts.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -247,8 +210,8 @@ mod tests {
         // Reserved port 9 on localhost refuses or times out immediately on
         // typical CI hosts; either way the op must degrade, not panic.
         let store = RemoteStore::new("127.0.0.1:9");
-        assert!(store.get_stage(1).is_none());
-        store.put_stage(2, vec![1, 2, 3]);
+        assert!(store.get(EntryKind::Stage, 1).is_none());
+        store.put(2, vec![1, 2, 3]);
         let c = store.counters();
         assert_eq!((c.hits, c.misses, c.puts), (0, 0, 0));
         assert_eq!(c.errors, 2);

@@ -49,7 +49,8 @@ use cool_ir::hash::{ContentHash, ContentHasher};
 use cool_ir::Target;
 use cool_partition::Optimality;
 
-use crate::cache::StageCache;
+use crate::cache::{EntryKind, StageCache};
+use crate::disk::{decode_entry, encode_entry, FORMAT_VERSION};
 use crate::session::FlowSession;
 use crate::timing::{CacheOutcome, FlowTrace};
 use crate::FlowOptions;
@@ -111,20 +112,17 @@ pub enum Request {
     /// Ask the daemon to stop accepting connections and exit its accept
     /// loop once in-flight work drains.
     Shutdown,
-    /// Fetch the stage-cache entry for a key from the daemon's store, as
-    /// raw entry-file bytes (the exact format [`crate::DiskStore`]
-    /// writes).
-    CacheGetStage(u128),
-    /// Offer a stage-cache entry to the daemon's store.  The payload is
-    /// one complete entry file; the daemon validates version, layout
-    /// digest and checksum with the same totality as a disk read and
-    /// rejects anything malformed without storing it.
-    CachePutStage(u128, Vec<u8>),
-    /// Fetch the node-tier entry for a key, as raw entry-file bytes.
-    CacheGetNode(u128),
-    /// Offer a node-tier entry to the daemon's store (validated like
-    /// [`Request::CachePutStage`]).
-    CachePutNode(u128, Vec<u8>),
+    /// Fetch the entry of the given kind under a key from the daemon's
+    /// store, as raw entry-file bytes (the exact format
+    /// [`crate::DiskStore`] writes).  The kind selects which of the
+    /// daemon's per-kind tiers answers and counts the lookup.
+    CacheGet(EntryKind, u128),
+    /// Offer a cache entry of either kind to the daemon's store.  The
+    /// payload is one complete entry file, whose kind byte the daemon
+    /// reads; it validates version, layout digest and checksum with the
+    /// same totality as a disk read and rejects anything malformed
+    /// without storing it.
+    CachePut(u128, Vec<u8>),
     /// Ask for the daemon's cache counters.
     CacheStats,
 }
@@ -143,25 +141,17 @@ impl Codec for Request {
             }
             Request::Ping => e.put_u8(2),
             Request::Shutdown => e.put_u8(3),
-            Request::CacheGetStage(key) => {
+            Request::CacheGet(kind, key) => {
                 e.put_u8(4);
+                kind.encode(e);
                 e.put_u128(*key);
             }
-            Request::CachePutStage(key, bytes) => {
+            Request::CachePut(key, bytes) => {
                 e.put_u8(5);
                 e.put_u128(*key);
                 bytes.encode(e);
             }
-            Request::CacheGetNode(key) => {
-                e.put_u8(6);
-                e.put_u128(*key);
-            }
-            Request::CachePutNode(key, bytes) => {
-                e.put_u8(7);
-                e.put_u128(*key);
-                bytes.encode(e);
-            }
-            Request::CacheStats => e.put_u8(8),
+            Request::CacheStats => e.put_u8(6),
         }
     }
 
@@ -174,14 +164,9 @@ impl Codec for Request {
             )),
             2 => Ok(Request::Ping),
             3 => Ok(Request::Shutdown),
-            4 => Ok(Request::CacheGetStage(d.take_u128()?)),
-            5 => Ok(Request::CachePutStage(
-                d.take_u128()?,
-                Vec::<u8>::decode(d)?,
-            )),
-            6 => Ok(Request::CacheGetNode(d.take_u128()?)),
-            7 => Ok(Request::CachePutNode(d.take_u128()?, Vec::<u8>::decode(d)?)),
-            8 => Ok(Request::CacheStats),
+            4 => Ok(Request::CacheGet(EntryKind::decode(d)?, d.take_u128()?)),
+            5 => Ok(Request::CachePut(d.take_u128()?, Vec::<u8>::decode(d)?)),
+            6 => Ok(Request::CacheStats),
             tag => Err(CodecError::InvalidTag {
                 type_name: "Request",
                 tag,
@@ -299,13 +284,13 @@ pub struct CacheStatsReply {
     pub entries: u64,
     /// Node entries resident in the daemon's memory tier.
     pub node_entries: u64,
-    /// Remote `CacheGet*` requests answered with an entry.
+    /// Remote `CacheGet` requests answered with an entry.
     pub serve_hits: u64,
-    /// Remote `CacheGet*` requests answered empty.
+    /// Remote `CacheGet` requests answered empty.
     pub serve_misses: u64,
-    /// Remote `CachePut*` requests accepted and stored.
+    /// Remote `CachePut` requests accepted and stored.
     pub puts_accepted: u64,
-    /// Remote `CachePut*` requests rejected (corrupt, version-skewed or
+    /// Remote `CachePut` requests rejected (corrupt, version-skewed or
     /// truncated entry bytes) — never stored.
     pub puts_rejected: u64,
     /// The daemon cache's own human-readable summary
@@ -351,12 +336,12 @@ pub enum Response {
     /// Anything that went wrong server-side, stringified
     /// ([`crate::FlowError`], spec parse errors, malformed requests).
     Error(String),
-    /// Reply to [`Request::CacheGetStage`] / [`Request::CacheGetNode`]:
-    /// the raw entry-file bytes, or `None` on a store miss.
+    /// Reply to [`Request::CacheGet`]: the raw entry-file bytes, or
+    /// `None` on a store miss.
     CacheEntry(Option<Vec<u8>>),
-    /// Reply to an accepted [`Request::CachePutStage`] /
-    /// [`Request::CachePutNode`]; `true` when the entry was new to the
-    /// daemon's store, `false` when it already had it.
+    /// Reply to an accepted [`Request::CachePut`]; `true` when the entry
+    /// was new to the daemon's memory tier, `false` when it already had
+    /// it.
     CachePutDone(bool),
     /// Reply to [`Request::CacheStats`].
     CacheStatsReply(CacheStatsReply),
@@ -491,8 +476,8 @@ impl Flight {
 struct ServerState {
     cache: StageCache,
     addr: SocketAddr,
-    /// In-flight flows by content key.  Entries are removed once the
-    /// leader publishes, so late arrivals start a fresh (warm) flight.
+    /// In-flight flows by content key.  The leader removes its entry once
+    /// its flow has run, so late arrivals start a fresh (warm) flight.
     flights: Mutex<HashMap<u128, Arc<Flight>>>,
     /// Monotonic flight id source.
     flights_started: AtomicU64,
@@ -549,13 +534,15 @@ pub struct Server {
 impl Server {
     /// Bind to `addr` (e.g. [`DEFAULT_ADDR`], or `127.0.0.1:0` for an
     /// ephemeral test port) sharing `cache` across all future clients.
+    /// Any remote tier attached to `cache` is dropped: a daemon never
+    /// forwards the puts it accepts, so daemons cannot form a put loop.
     pub fn bind<A: ToSocketAddrs>(addr: A, cache: StageCache) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         Ok(Server {
             listener,
             state: Arc::new(ServerState {
-                cache,
+                cache: cache.without_remote(),
                 addr,
                 flights: Mutex::new(HashMap::new()),
                 flights_started: AtomicU64::new(0),
@@ -685,14 +672,8 @@ fn handle_connection(state: &Arc<ServerState>, stream: TcpStream) {
             }
             Ok(Request::Flow(req)) => serve_flow(state, &req),
             Ok(Request::Simulate(req, inputs)) => Arc::new(serve_simulate(state, &req, &inputs)),
-            Ok(Request::CacheGetStage(key)) => Arc::new(serve_cache_get_stage(state, key)),
-            Ok(Request::CachePutStage(key, bytes)) => {
-                Arc::new(serve_cache_put_stage(state, key, &bytes))
-            }
-            Ok(Request::CacheGetNode(key)) => Arc::new(serve_cache_get_node(state, key)),
-            Ok(Request::CachePutNode(key, bytes)) => {
-                Arc::new(serve_cache_put_node(state, key, &bytes))
-            }
+            Ok(Request::CacheGet(kind, key)) => Arc::new(serve_cache_get(state, kind, key)),
+            Ok(Request::CachePut(key, bytes)) => Arc::new(serve_cache_put(state, key, &bytes)),
             Ok(Request::CacheStats) => Arc::new(serve_cache_stats(state)),
         };
         if write_frame(&mut stream, &reply).is_err() {
@@ -705,78 +686,34 @@ fn handle_connection(state: &Arc<ServerState>, stream: TcpStream) {
 // Remote-cache service: raw entry bytes in, raw entry bytes out
 // ---------------------------------------------------------------------------
 
-/// Serve a stage entry from the daemon's cache as raw entry-file bytes.
-/// A hit re-encodes through the canonical entry codec, so the bytes a
-/// client receives are exactly what a local `DiskStore` write would have
-/// produced — the client re-validates and re-materializes them into its
-/// own disk tier unchanged.
-fn serve_cache_get_stage(state: &ServerState, key: u128) -> Vec<u8> {
-    match state.cache.lookup(key) {
-        Some(hit) => {
-            state.cache_serve_hits.fetch_add(1, Ordering::Relaxed);
-            let bytes = crate::disk::encode_entry_with_version(
-                &hit.delta,
-                &hit.writes,
-                hit.saved,
-                crate::disk::FORMAT_VERSION,
-            );
-            to_bytes(&Response::CacheEntry(Some(bytes)))
-        }
-        None => {
-            state.cache_serve_misses.fetch_add(1, Ordering::Relaxed);
-            to_bytes(&Response::CacheEntry(None))
-        }
-    }
+/// Serve the `kind` entry under `key` from the daemon's cache as raw
+/// entry-file bytes.  A hit re-encodes through the canonical entry codec,
+/// so the bytes a client receives are exactly what a local `DiskStore`
+/// write would have produced — the client re-validates and
+/// re-materializes them into its own disk tier unchanged.
+fn serve_cache_get(state: &ServerState, kind: EntryKind, key: u128) -> Vec<u8> {
+    let found = state.cache.lookup(kind, key);
+    let counter = if found.is_some() {
+        &state.cache_serve_hits
+    } else {
+        &state.cache_serve_misses
+    };
+    counter.fetch_add(1, Ordering::Relaxed);
+    let bytes = found.map(|hit| encode_entry(&hit.entry, FORMAT_VERSION));
+    to_bytes(&Response::CacheEntry(bytes))
 }
 
-/// Validate and store an offered stage entry.  The validation is the
-/// same totality as a `DiskStore` read — magic, version, layout digest,
-/// checksum, codec decode — so a corrupt or version-skewed put is
+/// Validate and store an offered entry of either kind.  The validation is
+/// the same totality as a `DiskStore` read — magic, version, layout
+/// digest, checksum, codec decode — so a corrupt or version-skewed put is
 /// rejected with a clean [`Response::Error`], never stored, and the
-/// connection stays alive.
-fn serve_cache_put_stage(state: &ServerState, key: u128, bytes: &[u8]) -> Vec<u8> {
-    match crate::disk::decode_stage_entry(bytes) {
-        Some((delta, writes, cost)) => {
+/// connection stays alive.  The daemon's cache has no remote tier (see
+/// [`Server::bind`]), so the insert is never forwarded.
+fn serve_cache_put(state: &ServerState, key: u128, bytes: &[u8]) -> Vec<u8> {
+    match decode_entry(bytes) {
+        Some(entry) => {
             state.cache_puts_accepted.fetch_add(1, Ordering::Relaxed);
-            let fresh = state.cache.insert_remote(key, delta, writes, cost);
-            to_bytes(&Response::CachePutDone(fresh))
-        }
-        None => {
-            state.cache_puts_rejected.fetch_add(1, Ordering::Relaxed);
-            to_bytes(&Response::Error(
-                "rejected cache put: entry bytes failed validation (corrupt, truncated \
-                 or foreign format version)"
-                    .to_string(),
-            ))
-        }
-    }
-}
-
-/// Serve a node-tier entry as raw entry-file bytes.
-fn serve_cache_get_node(state: &ServerState, key: u128) -> Vec<u8> {
-    match state.cache.lookup_node(key) {
-        Some(hit) => {
-            state.cache_serve_hits.fetch_add(1, Ordering::Relaxed);
-            let bytes = crate::disk::encode_node_entry_with_version(
-                &hit.artifact,
-                crate::disk::FORMAT_VERSION,
-            );
-            to_bytes(&Response::CacheEntry(Some(bytes)))
-        }
-        None => {
-            state.cache_serve_misses.fetch_add(1, Ordering::Relaxed);
-            to_bytes(&Response::CacheEntry(None))
-        }
-    }
-}
-
-/// Validate and store an offered node-tier entry (validated like
-/// [`serve_cache_put_stage`]).
-fn serve_cache_put_node(state: &ServerState, key: u128, bytes: &[u8]) -> Vec<u8> {
-    match crate::disk::decode_node_entry(bytes) {
-        Some(artifact) => {
-            state.cache_puts_accepted.fetch_add(1, Ordering::Relaxed);
-            let fresh = state.cache.insert_node_remote(key, artifact);
+            let fresh = state.cache.insert(key, entry);
             to_bytes(&Response::CachePutDone(fresh))
         }
         None => {
@@ -842,10 +779,9 @@ fn serve_flow(state: &Arc<ServerState>, req: &FlowRequest) -> Arc<Vec<u8>> {
 
     if leader {
         let id = state.flights_started.fetch_add(1, Ordering::Relaxed);
-        let bytes = Arc::new(run_flight(state, &graph, req, id, &flight));
+        let bytes = Arc::new(run_flight(state, &graph, req, id, key, &flight));
         *flight.payload.lock().unwrap() = Some(Arc::clone(&bytes));
         flight.ready.notify_all();
-        state.flights.lock().unwrap().remove(&key);
         bytes
     } else {
         let mut slot = flight.payload.lock().unwrap();
@@ -862,6 +798,7 @@ fn run_flight(
     graph: &cool_ir::PartitioningGraph,
     req: &FlowRequest,
     id: u64,
+    key: u128,
     flight: &Flight,
 ) -> Vec<u8> {
     let result = FlowSession::new(graph)
@@ -869,6 +806,10 @@ fn run_flight(
         .options(req.options.clone())
         .cache(state.cache.clone())
         .run();
+    // Close the flight to new joiners before reading its joined count, so
+    // the count covers every request this response will serve.  Later
+    // arrivals start a fresh flight, which the now-warm cache serves.
+    state.flights.lock().unwrap().remove(&key);
     let response = match result {
         Ok(art) => {
             if art.trace.cache_misses() > 0 {
@@ -1020,41 +961,48 @@ impl Client {
         }
     }
 
-    /// Fetch a stage entry's raw bytes from the daemon's store.
+    /// Fetch the raw bytes of the `kind` entry under `key` from the
+    /// daemon's store.
+    pub fn cache_get(&mut self, kind: EntryKind, key: u128) -> Result<Option<Vec<u8>>, ServeError> {
+        match self.request(&Request::CacheGet(kind, key))? {
+            Response::CacheEntry(bytes) => Ok(bytes),
+            Response::Error(msg) => Err(ServeError::Server(msg)),
+            _ => Err(ServeError::Protocol("reply to CacheGet")),
+        }
+    }
+
+    /// Offer one entry's raw bytes (either kind) to the daemon's store;
+    /// `Ok(true)` when the daemon stored it fresh.
+    pub fn cache_put(&mut self, key: u128, bytes: Vec<u8>) -> Result<bool, ServeError> {
+        match self.request(&Request::CachePut(key, bytes))? {
+            Response::CachePutDone(fresh) => Ok(fresh),
+            Response::Error(msg) => Err(ServeError::Server(msg)),
+            _ => Err(ServeError::Protocol("reply to CachePut")),
+        }
+    }
+
+    /// [`Client::cache_get`] of a stage entry. Kept for the benchmark
+    /// harness in `perfbench/`, which is written against this name.
     pub fn cache_get_stage(&mut self, key: u128) -> Result<Option<Vec<u8>>, ServeError> {
-        match self.request(&Request::CacheGetStage(key))? {
-            Response::CacheEntry(bytes) => Ok(bytes),
-            Response::Error(msg) => Err(ServeError::Server(msg)),
-            _ => Err(ServeError::Protocol("reply to CacheGetStage")),
-        }
+        self.cache_get(EntryKind::Stage, key)
     }
 
-    /// Offer a stage entry to the daemon's store; `Ok(true)` when the
-    /// daemon stored it fresh.
+    /// [`Client::cache_put`]. Kept for the benchmark harness in
+    /// `perfbench/`, which is written against this name.
     pub fn cache_put_stage(&mut self, key: u128, bytes: Vec<u8>) -> Result<bool, ServeError> {
-        match self.request(&Request::CachePutStage(key, bytes))? {
-            Response::CachePutDone(fresh) => Ok(fresh),
-            Response::Error(msg) => Err(ServeError::Server(msg)),
-            _ => Err(ServeError::Protocol("reply to CachePutStage")),
-        }
+        self.cache_put(key, bytes)
     }
 
-    /// Fetch a node-tier entry's raw bytes from the daemon's store.
+    /// [`Client::cache_get`] of a node entry. Kept for the benchmark
+    /// harness in `perfbench/`, which is written against this name.
     pub fn cache_get_node(&mut self, key: u128) -> Result<Option<Vec<u8>>, ServeError> {
-        match self.request(&Request::CacheGetNode(key))? {
-            Response::CacheEntry(bytes) => Ok(bytes),
-            Response::Error(msg) => Err(ServeError::Server(msg)),
-            _ => Err(ServeError::Protocol("reply to CacheGetNode")),
-        }
+        self.cache_get(EntryKind::Node, key)
     }
 
-    /// Offer a node-tier entry to the daemon's store.
+    /// [`Client::cache_put`]. Kept for the benchmark harness in
+    /// `perfbench/`, which is written against this name.
     pub fn cache_put_node(&mut self, key: u128, bytes: Vec<u8>) -> Result<bool, ServeError> {
-        match self.request(&Request::CachePutNode(key, bytes))? {
-            Response::CachePutDone(fresh) => Ok(fresh),
-            Response::Error(msg) => Err(ServeError::Server(msg)),
-            _ => Err(ServeError::Protocol("reply to CachePutNode")),
-        }
+        self.cache_put(key, bytes)
     }
 
     /// The daemon's cache counters.
@@ -1087,10 +1035,10 @@ mod tests {
             Request::Simulate(tiny_request(), vec![("a".to_string(), 3)]),
             Request::Ping,
             Request::Shutdown,
-            Request::CacheGetStage(0xfeed_beef),
-            Request::CachePutStage(0xfeed_beef, vec![1, 2, 3]),
-            Request::CacheGetNode(7),
-            Request::CachePutNode(7, vec![0xff; 4]),
+            Request::CacheGet(EntryKind::Stage, 0xfeed_beef),
+            Request::CachePut(0xfeed_beef, vec![1, 2, 3]),
+            Request::CacheGet(EntryKind::Node, 7),
+            Request::CachePut(7, vec![0xff; 4]),
             Request::CacheStats,
         ];
         for req in &reqs {

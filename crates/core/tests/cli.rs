@@ -112,6 +112,11 @@ fn check_reports_missing_file() {
         .output()
         .unwrap();
     assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("/nonexistent/x.cool"),
+        "the diagnostic names the path: {stderr}"
+    );
 }
 
 #[test]
@@ -225,32 +230,37 @@ fn flow_trace_prints_stage_table() {
          connect a -> s.0; connect b -> s.1; connect s -> y;\n",
     );
     let out_dir = dir.join("out");
-    let out = cool()
-        .arg("flow")
-        .arg(&spec)
-        .args(["--quick", "--jobs", "2", "--trace", "--out"])
-        .arg(&out_dir)
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    for stage in [
-        "spec",
-        "cost",
-        "partition",
-        "schedule",
-        "stg",
-        "hls",
-        "rtl",
-        "codegen",
-    ] {
-        assert!(stdout.contains(stage), "trace lacks `{stage}`:\n{stdout}");
+    // The second run puts a value flag before the spec: its value must
+    // not be taken for the spec path.
+    for before_spec in [&[][..], &["--partitioner", "milp"][..]] {
+        let out = cool()
+            .arg("flow")
+            .args(before_spec)
+            .arg(&spec)
+            .args(["--quick", "--jobs", "2", "--trace", "--out"])
+            .arg(&out_dir)
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{before_spec:?} stderr: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        for stage in [
+            "spec",
+            "cost",
+            "partition",
+            "schedule",
+            "stg",
+            "hls",
+            "rtl",
+            "codegen",
+        ] {
+            assert!(stdout.contains(stage), "trace lacks `{stage}`:\n{stdout}");
+        }
+        assert!(stdout.contains("engine trace (2 worker(s))"), "{stdout}");
     }
-    assert!(stdout.contains("engine trace (2 worker(s))"), "{stdout}");
 }
 
 /// Shared flags for the incremental-synthesis CLI tests: a raised board

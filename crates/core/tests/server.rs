@@ -20,10 +20,12 @@ use std::sync::{Arc, Barrier};
 use std::thread;
 use std::time::Duration;
 
-use cool_core::cache::ArtifactDelta;
-use cool_core::disk::{encode_entry_with_version, encode_node_entry_with_version, FORMAT_VERSION};
+use cool_core::disk::{encode_entry, FORMAT_VERSION};
 use cool_core::server::{Client, FlowRequest, Request, Response, ServeError, Server, ServerHandle};
-use cool_core::{FlowArtifacts, FlowOptions, FlowResponse, FlowSession, NodeArtifact, StageCache};
+use cool_core::{
+    CacheEntry, EntryKind, FlowArtifacts, FlowOptions, FlowResponse, FlowSession, NodeArtifact,
+    StageCache,
+};
 use cool_ir::codec::{read_frame, to_bytes, write_frame};
 use cool_ir::Target;
 use cool_spec::{print_spec, workloads};
@@ -355,10 +357,12 @@ fn unknown_request_kinds_get_an_error_frame_and_the_connection_survives() {
 /// A valid stage-entry payload in the exact on-disk/wire format, with a
 /// distinguishing cost so distinct entries have distinct bytes.
 fn stage_entry_bytes(cost_ms: u64) -> Vec<u8> {
-    encode_entry_with_version(
-        &ArtifactDelta::default(),
-        &[],
-        Duration::from_millis(cost_ms),
+    encode_entry(
+        &CacheEntry::Stage {
+            delta: Box::default(),
+            writes: Vec::new(),
+            cost: Duration::from_millis(cost_ms),
+        },
         FORMAT_VERSION,
     )
 }
@@ -413,23 +417,25 @@ fn concurrent_cache_puts_and_gets_race_safely() {
                 // Everyone races the shared key, then puts a key of its
                 // own, then reads both back.
                 let fresh_shared = client
-                    .cache_put_stage(SHARED_KEY, shared.clone())
+                    .cache_put(SHARED_KEY, shared.clone())
                     .expect("shared put");
                 let own_key = 0x1000 + i as u128;
                 let own = stage_entry_bytes(100 + i as u64);
                 assert!(
-                    client
-                        .cache_put_stage(own_key, own.clone())
-                        .expect("own put"),
+                    client.cache_put(own_key, own.clone()).expect("own put"),
                     "a distinct key is always fresh"
                 );
                 assert_eq!(
-                    client.cache_get_stage(SHARED_KEY).expect("shared get"),
+                    client
+                        .cache_get(EntryKind::Stage, SHARED_KEY)
+                        .expect("shared get"),
                     Some(shared.clone()),
                     "shared entry must read back byte-identical"
                 );
                 assert_eq!(
-                    client.cache_get_stage(own_key).expect("own get"),
+                    client
+                        .cache_get(EntryKind::Stage, own_key)
+                        .expect("own get"),
                     Some(own),
                     "own entry must read back byte-identical"
                 );
@@ -449,17 +455,20 @@ fn concurrent_cache_puts_and_gets_race_safely() {
 
     // Node-tier entries travel the same way.
     let mut client = Client::connect(addr).expect("connect");
-    let node = encode_node_entry_with_version(
-        &NodeArtifact::Vhdl("entity probe is end;".to_string()),
+    let node = encode_entry(
+        &CacheEntry::Node(NodeArtifact::Vhdl("entity probe is end;".to_string())),
         FORMAT_VERSION,
     );
-    assert!(client.cache_put_node(42, node.clone()).expect("node put"));
+    assert!(client.cache_put(42, node.clone()).expect("node put"));
     assert_eq!(
-        client.cache_get_node(42).expect("node get"),
+        client.cache_get(EntryKind::Node, 42).expect("node get"),
         Some(node),
         "node entry must read back byte-identical"
     );
-    assert_eq!(client.cache_get_node(43).expect("node miss"), None);
+    assert_eq!(
+        client.cache_get(EntryKind::Node, 43).expect("node miss"),
+        None
+    );
 
     let stats = client.cache_stats().expect("stats");
     assert_eq!(stats.puts_rejected, 0);
@@ -484,7 +493,7 @@ fn corrupt_and_version_skewed_puts_are_rejected_and_never_stored() {
     let mut corrupt = stage_entry_bytes(9);
     let last = corrupt.len() - 1;
     corrupt[last] ^= 0xff;
-    match client.cache_put_stage(0xdead, corrupt) {
+    match client.cache_put(0xdead, corrupt) {
         Err(ServeError::Server(msg)) => {
             assert!(msg.contains("rejected cache put"), "got: {msg}")
         }
@@ -492,13 +501,15 @@ fn corrupt_and_version_skewed_puts_are_rejected_and_never_stored() {
     }
 
     // A foreign format version is rejected even with a valid checksum.
-    let skewed = encode_entry_with_version(
-        &ArtifactDelta::default(),
-        &[],
-        Duration::from_millis(9),
+    let skewed = encode_entry(
+        &CacheEntry::Stage {
+            delta: Box::default(),
+            writes: Vec::new(),
+            cost: Duration::from_millis(9),
+        },
         FORMAT_VERSION + 1,
     );
-    match client.cache_put_stage(0xbeef, skewed) {
+    match client.cache_put(0xbeef, skewed) {
         Err(ServeError::Server(msg)) => {
             assert!(msg.contains("rejected cache put"), "got: {msg}")
         }
@@ -506,11 +517,11 @@ fn corrupt_and_version_skewed_puts_are_rejected_and_never_stored() {
     }
 
     // Truncated node bytes are rejected the same way.
-    let node = encode_node_entry_with_version(
-        &NodeArtifact::Vhdl("entity x is end;".to_string()),
+    let node = encode_entry(
+        &CacheEntry::Node(NodeArtifact::Vhdl("entity x is end;".to_string())),
         FORMAT_VERSION,
     );
-    match client.cache_put_node(0xcafe, node[..node.len() / 2].to_vec()) {
+    match client.cache_put(0xcafe, node[..node.len() / 2].to_vec()) {
         Err(ServeError::Server(msg)) => {
             assert!(msg.contains("rejected cache put"), "got: {msg}")
         }
@@ -519,9 +530,18 @@ fn corrupt_and_version_skewed_puts_are_rejected_and_never_stored() {
 
     // Nothing landed, the connection survived, and the daemon counted
     // the rejections.
-    assert_eq!(client.cache_get_stage(0xdead).expect("get"), None);
-    assert_eq!(client.cache_get_stage(0xbeef).expect("get"), None);
-    assert_eq!(client.cache_get_node(0xcafe).expect("get"), None);
+    assert_eq!(
+        client.cache_get(EntryKind::Stage, 0xdead).expect("get"),
+        None
+    );
+    assert_eq!(
+        client.cache_get(EntryKind::Stage, 0xbeef).expect("get"),
+        None
+    );
+    assert_eq!(
+        client.cache_get(EntryKind::Node, 0xcafe).expect("get"),
+        None
+    );
     let stats = client.cache_stats().expect("stats on the same connection");
     assert_eq!(stats.puts_rejected, 3, "{stats:?}");
     assert_eq!(stats.puts_accepted, 0, "{stats:?}");
@@ -530,7 +550,7 @@ fn corrupt_and_version_skewed_puts_are_rejected_and_never_stored() {
 
     // And a good put still works afterwards.
     assert!(client
-        .cache_put_stage(0xfeed, stage_entry_bytes(3))
+        .cache_put(0xfeed, stage_entry_bytes(3))
         .expect("valid put after rejections"));
 
     handle.shutdown();

@@ -32,7 +32,7 @@
 //!   winner depend on arrival order.)
 //! * **Tie-preserving pruning.** A subtree is pruned only when its LP
 //!   bound is *strictly worse* than the incumbent by more than
-//!   [`TIE_EPS`]. Any assignment that ties the optimum has LP bounds at
+//!   `TIE_EPS` (1e-6). Any assignment that ties the optimum has LP bounds at
 //!   most its own objective along its whole path, so its subtree is
 //!   never pruned and every run — serial or parallel — examines every
 //!   tied optimum. The candidate set over which the total order picks

@@ -16,7 +16,7 @@
 //!   `d_j² / (1 + ‖B⁻¹A_j‖²)`, which takes orders of magnitude fewer
 //!   pivots than Bland's rule on degenerate instances — with a
 //!   no-objective-progress counter that falls back to Bland's rule after
-//!   [`STALL_LIMIT`] stalled pivots (and re-engages steepest edge once
+//!   `STALL_LIMIT` (256) stalled pivots (and re-engages steepest edge once
 //!   the objective moves again), so termination stays guaranteed without
 //!   paying Bland's walk everywhere. Artificial variables are *virtual*:
 //!   a row that cannot start on its slack carries a "marker" basis entry
@@ -31,7 +31,7 @@
 //!   trouble — a singular re-factorization, an inconsistent dependent
 //!   row, or a dual repair that overruns its pivot cap — falls back to
 //!   the cold path, deterministically.
-//! * **In-place delta re-solve** ([`solve_lp_delta`]): the immediate
+//! * **In-place delta re-solve** (the crate-private `solve_lp_delta`): the immediate
 //!   child on the depth-first hot path narrows exactly one bound on top
 //!   of the tableau the workspace *already holds*, so the rebuild and
 //!   re-factorization are skipped entirely: the RHS update is `O(m)`
@@ -188,7 +188,7 @@ pub struct SimplexStats {
 /// After a successful solve the workspace additionally *holds* that
 /// solve's final tableau, and remembers which `(problem shape, fixings)`
 /// it belongs to: [`SimplexWorkspace::delta_applicable`] tells a caller
-/// whether the next solve can run as an in-place [`solve_lp_delta`].
+/// whether the next solve can run as an in-place `solve_lp_delta`.
 #[derive(Debug, Default)]
 pub struct SimplexWorkspace {
     lo: Vec<f64>,
@@ -237,7 +237,7 @@ impl SimplexWorkspace {
     }
 
     /// Whether `fixings` extends the held solve's fixings by exactly one
-    /// entry — the precondition for [`solve_lp_delta`] (which must also
+    /// entry — the precondition for `solve_lp_delta` (which must also
     /// see the *same* [`Problem`]).
     #[must_use]
     pub fn delta_applicable(&self, fixings: &[Fixing]) -> bool {

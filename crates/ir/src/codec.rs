@@ -536,7 +536,7 @@ pub const FRAME_MAGIC: [u8; 8] = *b"COOLWIR\0";
 /// encodings (the request/response `Codec` impls), exactly like the disk
 /// cache's format version: a stale client must read as a bad frame, not
 /// decode garbage.
-pub const FRAME_VERSION: u32 = 3;
+pub const FRAME_VERSION: u32 = 4;
 /// Upper bound on a frame's payload, checked *before* allocation so a
 /// hostile or bit-flipped length prefix cannot OOM the server.
 pub const MAX_FRAME_PAYLOAD: u64 = 64 * 1024 * 1024;
